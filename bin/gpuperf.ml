@@ -24,18 +24,10 @@ let color_stderr = lazy (Unix.isatty Unix.stderr)
 let print_diag d =
   prerr_endline (D.render ~color:(Lazy.force color_stderr) ~prefix:"gpuperf" d)
 
-(* Stage attribution for exceptions escaping the raising APIs that the
-   workload drivers still use internally.  [D.protect] falls back on a
-   generic conversion for anything not matched here. *)
+(* The analyses answer with diagnostics (raised as [Diag_error]); file
+   I/O is the one exception source left to attribute.  [D.protect] falls
+   back on a generic conversion for anything else. *)
 let convert_toolchain = function
-  | Gpu_isa.Encode.Decode_error m -> Some (D.make D.Error D.Disasm m)
-  | Gpu_isa.Asm.Parse_error { line; message } ->
-    Some (D.make ~location:(D.Line line) D.Error D.Asm message)
-  | Gpu_kernel.Compile.Error m -> Some (D.make D.Error D.Compile m)
-  | Gpu_sim.Sim.Launch_error m -> Some (D.make D.Error D.Launch m)
-  | Gpu_sim.Machine.Stuck m | Gpu_sim.Memory.Fault m ->
-    Some (D.make D.Error D.Exec m)
-  | Gpu_hw.Occupancy.Invalid_launch m -> Some (D.make D.Error D.Occupancy m)
   | Sys_error m -> Some (D.make D.Error D.Cli m)
   | _ -> None
 
@@ -115,6 +107,18 @@ let with_metrics metrics fmt f =
     in
     Fun.protect ~finally:(fun () -> prerr_string (dump ())) f
 
+(* The table-driven subcommands' frame: metrics dump, calibration options
+   and one diagnostic per failure (stray exceptions blamed on [stage]). *)
+let calibrated_term =
+  let frame metrics mfmt jobs no_cache stage body =
+    with_metrics metrics mfmt @@ fun () ->
+    guard stage @@ fun () ->
+    apply_calibration_opts jobs no_cache;
+    body ()
+  in
+  Term.(
+    const frame $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+
 (* --- occupancy ----------------------------------------------------------- *)
 
 let occupancy_cmd =
@@ -189,10 +193,8 @@ let microbench_cmd =
       & info [ "gmem" ]
           ~doc:"Global benchmark: blocks,threads,transactions-per-thread")
   in
-  let run metrics mfmt jobs no_cache gmem =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Model @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated gmem =
+    calibrated D.Model @@ fun () ->
     let t = Gpu_microbench.Tables.for_spec spec in
     match gmem with
     | Some (b, th, m) ->
@@ -221,92 +223,79 @@ let microbench_cmd =
   Cmd.v
     (Cmd.info "microbench"
        ~doc:"Fit and print the microbenchmark throughput tables")
-    Term.(
-      const run $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg
-      $ gmem)
+    Term.(const run $ calibrated_term $ gmem)
 
 (* --- analyze ------------------------------------------------------------- *)
 
 let measure_flag =
   Arg.(value & flag & info [ "measure" ] ~doc:"Also run the timing simulator")
 
-let workload_conv =
-  Arg.enum
-    [
-      ("matmul", `Matmul); ("tridiag", `Tridiag); ("spmv", `Spmv);
-      ("reduce", `Reduce); ("histogram", `Histogram); ("degree", `Degree);
-    ]
-
 (* The architectural variants come from the serve protocol's device
    fleet (its head is the baseline), so [--variant] names and the
    daemon's [device] field can never drift apart. *)
 let variant_specs = List.tl Gpu_serve.Protocol.devices
 
-let report_of ?replay_sample ?timeline ~measure workload tile padded fmt
-    atomic dev =
-  match workload with
-  | `Matmul ->
-    Gpu_workloads.Matmul.analyze ?replay_sample ?timeline ~spec:dev ~measure
-      ~n:1024 ~tile ()
-  | `Tridiag ->
-    Gpu_workloads.Tridiag.analyze ?replay_sample ?timeline ~spec:dev ~measure
-      ~nsys:512 ~n:512 ~padded ()
-  | `Spmv ->
-    let m = Gpu_workloads.Spmv.qcd_like () in
-    Gpu_workloads.Spmv.analyze ?replay_sample ?timeline ~spec:dev ~measure m
-      fmt
-  | `Reduce ->
-    let variant =
-      if atomic then Gpu_workloads.Reduce.Atomic
-      else Gpu_workloads.Reduce.Sequential
-    in
-    Gpu_workloads.Reduce.analyze ?replay_sample ?timeline ~spec:dev ~measure
-      ~blocks:512 variant
-  | `Histogram ->
-    Gpu_workloads.Histogram.analyze ?replay_sample ?timeline ~spec:dev
-      ~measure ~blocks:256 ()
-  | `Degree ->
-    Gpu_workloads.Degree.analyze ?replay_sample ?timeline ~spec:dev ~measure
-      ~blocks:256 ()
-
-let tile_arg =
-  Arg.(value & opt int 16 & info [ "tile" ] ~doc:"Matmul tile (8|16|32)")
-
-let padded_arg =
-  Arg.(value & flag & info [ "padded" ] ~doc:"Tridiag: pad shared arrays \
-                                              (CR-NBC)")
-
-let atomic_arg =
-  Arg.(
-    value & flag
-    & info [ "atomic" ]
-        ~doc:
-          "Reduce: use the atomic single-accumulator variant (every \
-           half-warp fully serialized) instead of the sequential tree")
-
-(* An enum rather than a free-form string: an unknown format is a usage
-   error (exit 2) caught by cmdliner, not a [failwith] at analysis time. *)
-let fmt_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("ell", Gpu_workloads.Spmv.Ell);
-             ("bell", Gpu_workloads.Spmv.Bell_im);
-             ("bell+im", Gpu_workloads.Spmv.Bell_im);
-             ("bell+imiv", Gpu_workloads.Spmv.Bell_imiv);
-             ("imiv", Gpu_workloads.Spmv.Bell_imiv);
-           ])
-        Gpu_workloads.Spmv.Ell
-    & info [ "format" ] ~doc:"SpMV format (ell|bell+im|bell+imiv)")
+module Registry = Gpu_serve.Registry
 
 let workload_arg =
   Arg.(
     required
-    & pos 0 (some workload_conv) None
-    & info [] ~docv:"WORKLOAD"
-        ~doc:"matmul, tridiag, spmv, reduce, histogram or degree")
+    & pos 0 (some (enum (List.map (fun w -> (w, w)) Registry.workloads))) None
+    & info [] ~docv:"WORKLOAD" ~doc:(String.concat ", " Registry.workloads))
+
+(* The workload and its flags, as one [Registry.params].  Absent flags
+   take the workload table's defaults; [spmv_flag] names the spmv
+   storage-format flag ([--format], or [--spmv-format] where [--format]
+   selects the output); [n] is offered only by the subcommands that
+   take a problem size. *)
+let params_term ?(spmv_flag = "format") ?(n = false) () =
+  let tile =
+    Arg.(
+      value & opt (some int) None
+      & info [ "tile" ] ~doc:"Matmul tile (8|16|32)")
+  in
+  let padded =
+    Arg.(
+      value & flag
+      & info [ "padded" ] ~doc:"Tridiag: pad shared arrays (CR-NBC)")
+  in
+  let atomic =
+    Arg.(
+      value & flag
+      & info [ "atomic" ]
+          ~doc:
+            "Reduce: use the atomic single-accumulator variant (every \
+             half-warp fully serialized) instead of the sequential tree")
+  in
+  (* An enum rather than a free-form string: an unknown format is a
+     usage error (exit 2) caught by cmdliner, not a late failure. *)
+  let spmv_format =
+    Arg.(
+      value
+      & opt (some (enum Registry.spmv_formats)) None
+      & info [ spmv_flag ] ~doc:"SpMV format (ell|bell+im|bell+imiv)")
+  in
+  let n =
+    if not n then Term.const None
+    else
+      Arg.(
+        value
+        & opt (some int) None
+        & info [ "n" ] ~docv:"N"
+            ~doc:
+              "Problem size: matmul matrix order (divisible by 64 and the \
+               tile) or tridiag system size (power of two); ignored by \
+               the other workloads")
+  in
+  (* Range violations are analysis errors (exit 1), raised when the
+     subcommand forces the params, inside its diagnostic guard. *)
+  let params workload tile padded atomic spmv_format n () =
+    match Registry.of_flags ?tile ?n ~padded ~atomic ?spmv_format workload with
+    | Ok p -> p
+    | Error d -> D.fail d
+  in
+  Term.(
+    const params $ workload_arg $ tile $ padded $ atomic $ spmv_format $ n)
 
 (* Timing-replay cluster sampling: a CLI fraction becomes a seeded
    [Engine.sample] so repeated invocations pick the same cluster subset. *)
@@ -329,15 +318,10 @@ let replay_sample_of = function
     Some { Gpu_timing.Engine.target = Gpu_timing.Engine.Fraction f; seed = 0 }
 
 let analyze_cmd =
-  let run workload tile padded fmt atomic measure rsample metrics mfmt jobs
-      no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated params measure rsample =
+    calibrated D.Cli @@ fun () ->
     let replay_sample = replay_sample_of rsample in
-    let r =
-      report_of ?replay_sample ~measure workload tile padded fmt atomic spec
-    in
+    let r = Registry.analyze ?replay_sample ~spec ~measure (params ()) in
     Fmt.pr "%a@." Gpu_model.Workflow.pp r;
     match r.Gpu_model.Workflow.measured with
     | Some m ->
@@ -350,9 +334,8 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:"Run the full Figure-1 workflow on a case-study workload")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ fmt_arg $ atomic_arg
-      $ measure_flag $ replay_sample_arg $ metrics_arg $ metrics_format_arg
-      $ jobs_arg $ no_cache_arg)
+      const run $ calibrated_term $ params_term () $ measure_flag
+      $ replay_sample_arg)
 
 (* --- whatif -------------------------------------------------------------- *)
 
@@ -360,23 +343,19 @@ let whatif_cmd =
   let variant_arg =
     Arg.(
       non_empty
-      & opt_all (enum (List.map (fun (n, s) -> (n, s)) variant_specs)) []
+      & opt_all (enum variant_specs) []
       & info [ "variant" ]
           ~doc:
-            "Device variant (repeatable): maxblocks16, banks17, segment16, \
-             segment4, bigregfile, bigsmem, earlyrelease, volta-like, \
-             ampere-like")
+            ("Device variant (repeatable): "
+            ^ String.concat ", " (List.map fst variant_specs)))
   in
-  let run workload tile padded fmt atomic variants metrics mfmt jobs no_cache
-      =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated params variants =
+    calibrated D.Cli @@ fun () ->
+    let params = params () in
     (* one variant per pool task: the per-variant table re-fit dominates *)
     match
       Gpu_parallel.Pool.parallel_map
-        (fun dev ->
-          report_of ~measure:false workload tile padded fmt atomic dev)
+        (fun dev -> Registry.analyze ~spec:dev params)
         (spec :: variants)
     with
     | [] -> assert false (* parallel_map preserves length *)
@@ -402,10 +381,7 @@ let whatif_cmd =
   Cmd.v
     (Cmd.info "whatif"
        ~doc:"Re-analyze a workload on architectural variants")
-    Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ fmt_arg $ atomic_arg
-      $ variant_arg $ metrics_arg $ metrics_format_arg $ jobs_arg
-      $ no_cache_arg)
+    Term.(const run $ calibrated_term $ params_term () $ variant_arg)
 
 (* --- disasm / asm --------------------------------------------------------- *)
 
@@ -420,6 +396,15 @@ let write_file path s =
   let oc = open_out_bin path in
   output_string oc s;
   close_out oc
+
+(* Trace-event JSON: the workflow spans so far, [tl] and any [tracks]. *)
+let write_trace ?scale ?tracks out tl =
+  let oc = open_out_bin out in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      Gpu_obs.Timeline.write_json ?scale ~spans:(Gpu_obs.Span.completed ())
+        ?tracks oc tl)
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
@@ -561,10 +546,8 @@ let check_cmd =
             "Device profile to check (any fleet name accepted by \
              $(b,whatif --variant), plus $(b,baseline))")
   in
-  let run seed cases tol out replay device metrics mfmt jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Timing @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated seed cases tol out replay device =
+    calibrated D.Timing @@ fun () ->
     let spec = device in
     if tol < 1.0 then
       D.fail (D.error D.Cli "--tol must be >= 1.0, got %g" tol);
@@ -611,8 +594,8 @@ let check_cmd =
          "Property-based checking: brute-force memory oracles, engine \
           invariant audit, model-vs-engine differential")
     Term.(
-      const run $ seed $ cases $ tol $ out $ replay $ device $ metrics_arg
-      $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      const run $ calibrated_term $ seed $ cases $ tol $ out $ replay
+      $ device)
 
 (* --- trace ----------------------------------------------------------------- *)
 
@@ -635,44 +618,16 @@ let trace_cmd =
             "Timeline ring-buffer capacity; past it the oldest slices are \
              dropped (and reported)")
   in
-  let n =
-    Arg.(
-      value
-      & opt int 1024
-      & info [ "n" ] ~docv:"N"
-          ~doc:
-            "Problem size: matmul matrix order (divisible by 64 and the \
-             tile) or tridiag system size (power of two); ignored by spmv")
-  in
-  let run workload tile padded fmt atomic n out capacity metrics mfmt jobs
-      no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated params out capacity =
+    calibrated D.Cli @@ fun () ->
     if capacity < 1 then
       D.fail (D.error D.Cli "--trace-capacity must be >= 1, got %d" capacity);
     let tl = Gpu_obs.Timeline.create ~capacity () in
     Gpu_obs.Span.set_enabled true;
-    let r =
-      match workload with
-      | `Matmul ->
-        Gpu_workloads.Matmul.analyze ~spec ~measure:true ~timeline:tl ~n
-          ~tile ()
-      | `Tridiag ->
-        Gpu_workloads.Tridiag.analyze ~spec ~measure:true ~timeline:tl
-          ~nsys:512 ~n ~padded ()
-      | `Spmv | `Reduce | `Histogram | `Degree ->
-        report_of ~timeline:tl ~measure:true workload tile padded fmt atomic
-          spec
-    in
-    let oc = open_out_bin out in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Gpu_obs.Timeline.write_json
-          ~scale:(1.0 /. float_of_int Gpu_timing.Engine.ticks_per_cycle)
-          ~spans:(Gpu_obs.Span.completed ())
-          oc tl);
+    let r = Registry.analyze ~spec ~measure:true ~timeline:tl (params ()) in
+    write_trace
+      ~scale:(1.0 /. float_of_int Gpu_timing.Engine.ticks_per_cycle)
+      out tl;
     Fmt.pr "%a@." Gpu_model.Workflow.pp r;
     (match r.Gpu_model.Workflow.measured with
     | Some m -> Fmt.pr "%a@." Gpu_timing.Engine.pp_stage_attribution m
@@ -690,63 +645,43 @@ let trace_cmd =
          "Run the workflow with span + engine-timeline tracing and export \
           Chrome trace-event JSON")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ fmt_arg $ atomic_arg
-      $ n $ out $ capacity $ metrics_arg $ metrics_format_arg $ jobs_arg
-      $ no_cache_arg)
+      const run $ calibrated_term $ params_term ~n:true () $ out $ capacity)
 
 (* --- report ---------------------------------------------------------------- *)
 
+let render_fmt_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("md", Gpu_report.Render.Md);
+             ("html", Gpu_report.Render.Html);
+             ("json", Gpu_report.Render.Json);
+           ])
+        Gpu_report.Render.Md
+    & info [ "format" ] ~docv:"FMT" ~doc:"Report format: md, html or json")
+
+let output_arg what =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE"
+        ~doc:(Printf.sprintf "Write the %s to $(docv) instead of stdout" what))
+
+let output_doc out doc =
+  match out with
+  | None -> print_string doc
+  | Some path ->
+    write_file path doc;
+    Fmt.epr "wrote %s@." path
+
 let report_cmd =
-  let render_fmt =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("md", Gpu_report.Render.Md);
-               ("html", Gpu_report.Render.Html);
-               ("json", Gpu_report.Render.Json);
-             ])
-          Gpu_report.Render.Md
-      & info [ "format" ] ~docv:"FMT" ~doc:"Report format: md, html or json")
-  in
-  (* [--format] selects the report output here, so the spmv storage layout
-     moves to [--spmv-format] in this one subcommand. *)
-  let spmv_fmt =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("ell", Gpu_workloads.Spmv.Ell);
-               ("bell", Gpu_workloads.Spmv.Bell_im);
-               ("bell+im", Gpu_workloads.Spmv.Bell_im);
-               ("bell+imiv", Gpu_workloads.Spmv.Bell_imiv);
-               ("imiv", Gpu_workloads.Spmv.Bell_imiv);
-             ])
-          Gpu_workloads.Spmv.Ell
-      & info [ "spmv-format" ] ~doc:"SpMV format (ell|bell+im|bell+imiv)")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the report to $(docv) instead of stdout")
-  in
+  let out = output_arg "report" in
   let top =
     Arg.(
       value & opt int 5
       & info [ "top" ] ~docv:"N" ~doc:"Hotspot rows per table")
-  in
-  let n =
-    Arg.(
-      value
-      & opt int 1024
-      & info [ "n" ] ~docv:"N"
-          ~doc:
-            "Problem size: matmul matrix order (divisible by 64 and the \
-             tile) or tridiag system size (power of two); ignored by spmv")
   in
   let ledger_path =
     Arg.(
@@ -769,31 +704,14 @@ let report_cmd =
       & info [ "no-whatif" ]
           ~doc:"Skip the architectural-variant what-if section")
   in
-  let run workload tile padded sfmt atomic n fmt top out ledger_path
-      no_ledger no_whatif metrics mfmt jobs no_cache =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let run calibrated params fmt top out ledger_path no_ledger no_whatif =
+    calibrated D.Cli @@ fun () ->
     if top < 1 then D.fail (D.error D.Cli "--top must be >= 1, got %d" top);
+    let params = params () in
     let analyze ?timeline dev measure =
-      match workload with
-      | `Matmul ->
-        Gpu_workloads.Matmul.analyze ~spec:dev ~measure ?timeline ~n ~tile ()
-      | `Tridiag ->
-        Gpu_workloads.Tridiag.analyze ~spec:dev ~measure ?timeline ~nsys:512
-          ~n ~padded ()
-      | `Spmv | `Reduce | `Histogram | `Degree ->
-        report_of ?timeline ~measure workload tile padded sfmt atomic dev
+      Registry.analyze ~spec:dev ~measure ?timeline params
     in
-    let workload_name =
-      match workload with
-      | `Matmul -> "matmul"
-      | `Tridiag -> "tridiag"
-      | `Spmv -> "spmv"
-      | `Reduce -> if atomic then "reduce-atomic" else "reduce"
-      | `Histogram -> "histogram"
-      | `Degree -> "degree"
-    in
+    let workload_name = Registry.ledger_name params in
     (* A timeline on the measured run populates the engine's per-stage
        busy counters for the report's stage summary. *)
     let tl = Gpu_obs.Timeline.create () in
@@ -859,11 +777,7 @@ let report_cmd =
           top;
         }
     in
-    match out with
-    | None -> print_string doc
-    | Some path ->
-      write_file path doc;
-      Fmt.epr "wrote %s@." path
+    output_doc out doc
   in
   Cmd.v
     (Cmd.info "report"
@@ -872,64 +786,24 @@ let report_cmd =
           per-stage breakdown, hotspot attribution, what-if deltas and the \
           accuracy-ledger trend")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ spmv_fmt
-      $ atomic_arg $ n $ render_fmt $ top $ out $ ledger_path $ no_ledger
-      $ no_whatif $ metrics_arg $ metrics_format_arg $ jobs_arg
-      $ no_cache_arg)
+      const run $ calibrated_term
+      $ params_term ~spmv_flag:"spmv-format" ~n:true ()
+      $ render_fmt_arg $ top $ out $ ledger_path $ no_ledger $ no_whatif)
 
 (* --- sweep-devices -------------------------------------------------------- *)
 
 let sweep_devices_cmd =
-  let render_fmt =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("md", Gpu_report.Render.Md);
-               ("html", Gpu_report.Render.Html);
-               ("json", Gpu_report.Render.Json);
-             ])
-          Gpu_report.Render.Md
-      & info [ "format" ] ~docv:"FMT" ~doc:"Report format: md, html or json")
-  in
-  (* [--format] selects the comparison output here, so (as in [report])
-     the spmv storage layout moves to [--spmv-format]. *)
-  let spmv_fmt =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("ell", Gpu_workloads.Spmv.Ell);
-               ("bell", Gpu_workloads.Spmv.Bell_im);
-               ("bell+im", Gpu_workloads.Spmv.Bell_im);
-               ("bell+imiv", Gpu_workloads.Spmv.Bell_imiv);
-               ("imiv", Gpu_workloads.Spmv.Bell_imiv);
-             ])
-          Gpu_workloads.Spmv.Ell
-      & info [ "spmv-format" ] ~doc:"SpMV format (ell|bell+im|bell+imiv)")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write the comparison to $(docv) instead of stdout")
-  in
-  let run workload tile padded sfmt atomic fmt out metrics mfmt jobs no_cache
-      =
-    with_metrics metrics mfmt @@ fun () ->
-    guard D.Cli @@ fun () ->
-    apply_calibration_opts jobs no_cache;
+  let out = output_arg "comparison" in
+  let run calibrated params fmt out =
+    calibrated D.Cli @@ fun () ->
     (* One device per pool task: each non-baseline spec pays its own
        microbenchmark calibration on first contact, after which the
        fingerprinted on-disk cache makes re-sweeps cheap. *)
+    let params = params () in
     let fleet = Gpu_serve.Protocol.devices in
     let reports =
       Gpu_parallel.Pool.parallel_map
-        (fun (_, dev) ->
-          report_of ~measure:false workload tile padded sfmt atomic dev)
+        (fun (_, dev) -> Registry.analyze ~spec:dev params)
         fleet
     in
     let baseline =
@@ -941,27 +815,14 @@ let sweep_devices_cmd =
           Gpu_report.Render.sweep_row ~device:name ~baseline r)
         fleet reports
     in
-    let workload_name =
-      match workload with
-      | `Matmul -> "matmul"
-      | `Tridiag -> "tridiag"
-      | `Spmv -> "spmv"
-      | `Reduce -> if atomic then "reduce-atomic" else "reduce"
-      | `Histogram -> "histogram"
-      | `Degree -> "degree"
-    in
     let doc =
       Gpu_report.Render.render_sweep fmt
         {
-          Gpu_report.Render.sweep_workload = workload_name;
+          Gpu_report.Render.sweep_workload = Registry.ledger_name params;
           sweep_rows = rows;
         }
     in
-    match out with
-    | None -> print_string doc
-    | Some path ->
-      write_file path doc;
-      Fmt.epr "wrote %s@." path
+    output_doc out doc
   in
   Cmd.v
     (Cmd.info "sweep-devices"
@@ -971,9 +832,9 @@ let sweep_devices_cmd =
           a per-device comparison: predicted time, speedup, component \
           totals and bottleneck-classification shifts")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ spmv_fmt
-      $ atomic_arg $ render_fmt $ out $ metrics_arg $ metrics_format_arg
-      $ jobs_arg $ no_cache_arg)
+      const run $ calibrated_term
+      $ params_term ~spmv_flag:"spmv-format" ()
+      $ render_fmt_arg $ out)
 
 (* --- serve ----------------------------------------------------------------- *)
 
@@ -1147,17 +1008,7 @@ let trace_serve_cmd =
             "Also run the timing simulator per request (adds the \
              timing-replay stage to the tracks)")
   in
-  let n =
-    Arg.(
-      value & opt int 256
-      & info [ "n" ] ~docv:"N"
-          ~doc:
-            "Problem size: matmul matrix order (divisible by 64 and the \
-             tile) or tridiag system size (power of two); ignored by \
-             the other workloads")
-  in
-  let run workload tile padded fmt atomic measure n requests out metrics
-      mfmt jobs no_cache =
+  let run params measure requests out metrics mfmt jobs no_cache =
     with_metrics metrics mfmt @@ fun () ->
     guard D.Cli @@ fun () ->
     if requests < 1 then
@@ -1165,15 +1016,7 @@ let trace_serve_cmd =
     Option.iter Gpu_parallel.Pool.set_jobs jobs;
     if no_cache then Gpu_microbench.Tables.set_disk_cache false;
     let module SP = Gpu_serve.Protocol in
-    let params =
-      match workload with
-      | `Matmul -> SP.Matmul { n; tile }
-      | `Tridiag -> SP.Tridiag { nsys = 512; n; padded }
-      | `Spmv -> SP.Spmv { spmv_format = fmt }
-      | `Reduce -> SP.Reduce { r_blocks = 256; r_atomic = atomic }
-      | `Histogram -> SP.Histogram { h_blocks = 256; bins = 256; skew = 0.2 }
-      | `Degree -> SP.Degree { d_blocks = 256; nodes = 65536; hub = 0.1 }
-    in
+    let params = params () in
     Gpu_obs.Span.set_enabled true;
     let cfg =
       {
@@ -1231,14 +1074,7 @@ let trace_serve_cmd =
                ( Printf.sprintf "%s [%s]" label (Gpu_obs.Trace_ctx.id ctx),
                  Gpu_obs.Trace_ctx.spans ctx ))
       in
-      let tl = Gpu_obs.Timeline.create ~capacity:1 () in
-      let oc = open_out_bin out in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          Gpu_obs.Timeline.write_json
-            ~spans:(Gpu_obs.Span.completed ())
-            ~tracks oc tl);
+      write_trace ~tracks out (Gpu_obs.Timeline.create ~capacity:1 ());
       Fmt.pr "wrote %s: %d request tracks, %d workflow spans@." out
         (List.length tracks)
         (List.length (Gpu_obs.Span.completed ()));
@@ -1251,9 +1087,8 @@ let trace_serve_cmd =
           wire protocol, and export each captured request's span tree as \
           a Perfetto track next to the workflow spans")
     Term.(
-      const run $ workload_arg $ tile_arg $ padded_arg $ fmt_arg
-      $ atomic_arg $ measure $ n $ requests $ out $ metrics_arg
-      $ metrics_format_arg $ jobs_arg $ no_cache_arg)
+      const run $ params_term ~n:true () $ measure $ requests $ out
+      $ metrics_arg $ metrics_format_arg $ jobs_arg $ no_cache_arg)
 
 (* --- main ------------------------------------------------------------------ *)
 

@@ -10,6 +10,7 @@
    is off — and the timing replay accepts an optional [Gpu_obs.Timeline]
    that the engine fills with per-pipeline busy intervals. *)
 
+module D = Gpu_diag.Diag
 module Spec = Gpu_hw.Spec
 module Span = Gpu_obs.Span
 module Trace_ctx = Gpu_obs.Trace_ctx
@@ -18,14 +19,36 @@ module Trace_ctx = Gpu_obs.Trace_ctx
    tracing is off); when a request-scoped [Trace_ctx] is threaded in —
    the serve daemon passes one per request — the same extent also
    records into that request's span tree, so per-request latency
-   attribution works without enabling process-wide tracing. *)
-let stage_span ?ctx ~attrs name f =
-  let body () = Span.with_ ~attrs name f in
-  match ctx with
-  | None -> body ()
-  | Some c -> Trace_ctx.span c ~attrs name body
+   attribution works without enabling process-wide tracing.  A failing
+   stage's diagnostic is raised through the spans, which record it, and
+   returned as [Error]. *)
+let stage ?ctx ~attrs name f =
+  let body () =
+    Span.with_ ~attrs name (fun () ->
+        match f () with Ok v -> v | Error d -> D.fail d)
+  in
+  match
+    match ctx with
+    | None -> body ()
+    | Some c -> Trace_ctx.span c ~attrs name body
+  with
+  | v -> Ok v
+  | exception D.Diag_error d -> Error d
 
 type launch = { grid : int; block : int }
+
+type ('kernel, 'out) entry =
+  ?spec:Spec.t ->
+  ?sample:int ->
+  ?replay_sample:Gpu_timing.Engine.sample ->
+  ?measure:bool ->
+  ?timeline:Gpu_obs.Timeline.t ->
+  ?ctx:Trace_ctx.t ->
+  grid:int ->
+  block:int ->
+  args:(string * int32 array) list ->
+  'kernel ->
+  'out
 
 type report = {
   kernel_name : string;
@@ -106,13 +129,6 @@ let traces_homogeneous (traces : Gpu_sim.Trace.block_trace list) =
 let replay_homogeneous ~grid (r : Gpu_sim.Sim.result) =
   r.blocks_run < grid && traces_homogeneous r.traces
 
-let span_attrs ~grid ~block (k : Gpu_kernel.Compile.compiled) =
-  [
-    ("kernel", Gpu_isa.Program.name k.program);
-    ("grid", string_of_int grid);
-    ("block", string_of_int block);
-  ]
-
 (* The diagnostic surfaced alongside a sampled timing replay: the result
    stands with degraded confidence, bracketed by the engine's bounds. *)
 let replay_sample_warning (m : Gpu_timing.Engine.result) =
@@ -130,109 +146,49 @@ let replay_sample_warning (m : Gpu_timing.Engine.result) =
         s.Gpu_timing.Engine.cycles_high;
     ]
 
-let analyze_compiled ?(spec = Spec.gtx285) ?sample ?replay_sample
-    ?(measure = false) ?timeline ?ctx ~grid ~block ~args
-    (k : Gpu_kernel.Compile.compiled) =
-  let attrs = span_attrs ~grid ~block k in
-  let occupancy =
-    stage_span ?ctx ~attrs "extract" (fun () -> occupancy_of ~spec ~block k)
-  in
-  let block_ids =
-    match sample with
-    | Some n when n < grid -> Some (List.init n Fun.id)
-    | Some _ | None -> None
-  in
-  let r =
-    stage_span ?ctx ~attrs "functional-sim" (fun () ->
-        Gpu_sim.Sim.run ~collect_trace:measure ?block_ids ~spec ~grid ~block
-          ~args k)
-  in
-  let scale = Gpu_sim.Sim.scale_factor r in
-  let tables =
-    stage_span ?ctx ~attrs "calibrate" (fun () ->
-        Gpu_microbench.Tables.for_spec spec)
-  in
-  let analysis =
-    stage_span ?ctx ~attrs "model" (fun () ->
-        Model.analyze
-          {
-            Model.in_spec = spec;
-            tables;
-            stats = r.stats;
-            scale;
-            in_grid = grid;
-            in_block = block;
-            in_occupancy = occupancy;
-            blocks_run = r.blocks_run;
-          })
-  in
-  let measured =
-    if measure then
-      stage_span ?ctx ~attrs "timing-replay" (fun () ->
-          let traces = replicate_traces ~grid r.traces in
-          Some
-            (Gpu_timing.Engine.run
-               ~homogeneous:(replay_homogeneous ~grid r)
-               ?timeline ?sample:replay_sample ~spec
-               ~max_resident_blocks:occupancy.Gpu_hw.Occupancy.blocks traces))
-    else None
-  in
-  {
-    kernel_name = Gpu_isa.Program.name k.program;
-    compiled = k;
-    launch = { grid; block };
-    stats = r.stats;
-    scale;
-    analysis;
-    measured;
-  }
+let ( let* ) = Result.bind
 
-let analyze ?spec ?sample ?replay_sample ?measure ?timeline ?ctx ~grid
-    ~block ~args kernel =
-  let k =
-    stage_span ?ctx
-      ~attrs:[ ("kernel", kernel.Gpu_kernel.Ir.name) ]
-      "compile"
-      (fun () -> Gpu_kernel.Compile.compile kernel)
-  in
-  analyze_compiled ?spec ?sample ?replay_sample ?measure ?timeline ?ctx
-    ~grid ~block ~args k
-
-(* The [Result] face of the workflow: each stage's [_result] wrapper runs
-   in sequence, so the first failing stage's diagnostic surfaces and no
-   exception escapes.  Out-of-range warnings from the occupancy calculator
-   and the model are pooled into one list alongside the report. *)
+(* The Figure-1 pipeline, and its only implementation: each stage's
+   [_result] form runs in sequence, so the first failing stage's
+   diagnostic surfaces and no exception escapes.  Out-of-range warnings
+   from the occupancy calculator and the model are pooled into one list
+   alongside the report. *)
 let analyze_compiled_result ?(spec = Spec.gtx285) ?sample ?replay_sample
     ?(measure = false) ?timeline ?ctx ~grid ~block ~args
     (k : Gpu_kernel.Compile.compiled) =
-  let module D = Gpu_diag.Diag in
-  let ( let* ) = Result.bind in
-  let attrs = span_attrs ~grid ~block k in
+  let attrs =
+    [
+      ("kernel", Gpu_isa.Program.name k.program);
+      ("grid", string_of_int grid);
+      ("block", string_of_int block);
+    ]
+  in
+  let stage name f = stage ?ctx ~attrs name f in
+  let* block_ids =
+    match sample with
+    | Some n when n < 1 ->
+      Error
+        (D.error D.Launch ~hint:"sample at least one block"
+           "block sample must be >= 1, got %d" n)
+    | Some n when n < grid -> Ok (Some (List.init n Fun.id))
+    | Some _ | None -> Ok None
+  in
   let* occupancy, occ_warnings =
-    stage_span ?ctx ~attrs "extract" (fun () ->
+    stage "extract" (fun () ->
         Gpu_hw.Occupancy.compute_result ~spec (demand_of ~spec ~block k))
   in
-  let block_ids =
-    match sample with
-    | Some n when n < grid -> Some (List.init (max n 0) Fun.id)
-    | Some _ | None -> None
-  in
   let* r =
-    stage_span ?ctx ~attrs "functional-sim" (fun () ->
-        match
-          Gpu_sim.Sim.run_result ~collect_trace:measure ?block_ids ~spec
-            ~grid ~block ~args k
-        with
-        | Ok r -> Ok r
-        | Error f -> Error f.Gpu_sim.Sim.diag)
+    stage "functional-sim" (fun () ->
+        Gpu_sim.Sim.run_result ~collect_trace:measure ?block_ids ~spec ~grid
+          ~block ~args k
+        |> Result.map_error (fun f -> f.Gpu_sim.Sim.diag))
   in
   let scale = Gpu_sim.Sim.scale_factor r in
-  let tables =
-    stage_span ?ctx ~attrs "calibrate" (fun () ->
-        Gpu_microbench.Tables.for_spec spec)
+  let* tables =
+    stage "calibrate" (fun () -> Ok (Gpu_microbench.Tables.for_spec spec))
   in
   let* analysis =
-    stage_span ?ctx ~attrs "model" (fun () ->
+    stage "model" (fun () ->
         Model.analyze_result
           {
             Model.in_spec = spec;
@@ -247,7 +203,7 @@ let analyze_compiled_result ?(spec = Spec.gtx285) ?sample ?replay_sample
   in
   let* measured =
     if measure then
-      stage_span ?ctx ~attrs "timing-replay" (fun () ->
+      stage "timing-replay" (fun () ->
           D.protect ~stage:D.Timing (fun () ->
               let traces = replicate_traces ~grid r.traces in
               Some
@@ -277,15 +233,28 @@ let analyze_compiled_result ?(spec = Spec.gtx285) ?sample ?replay_sample
 
 let analyze_result ?spec ?sample ?replay_sample ?measure ?timeline ?ctx
     ~grid ~block ~args kernel =
-  let ( let* ) = Result.bind in
   let* k =
-    stage_span ?ctx
+    stage ?ctx
       ~attrs:[ ("kernel", kernel.Gpu_kernel.Ir.name) ]
       "compile"
       (fun () -> Gpu_kernel.Compile.compile_result kernel)
   in
   analyze_compiled_result ?spec ?sample ?replay_sample ?measure ?timeline
     ?ctx ~grid ~block ~args k
+
+(* The raising face: the same pipeline, with the failing stage's
+   diagnostic raised as [Diag_error]. *)
+let raising f ?spec ?sample ?replay_sample ?measure ?timeline ?ctx ~grid
+    ~block ~args k =
+  match
+    f ?spec ?sample ?replay_sample ?measure ?timeline ?ctx ~grid ~block
+      ~args k
+  with
+  | Ok (report, _warnings) -> report
+  | Error d -> D.fail d
+
+let analyze_compiled = raising analyze_compiled_result
+let analyze = raising analyze_result
 
 let measured_seconds report =
   Option.map (fun (r : Gpu_timing.Engine.result) -> r.seconds)

@@ -45,19 +45,20 @@ val replicate_traces :
     single-cluster [homogeneous] fast path. *)
 val traces_homogeneous : Gpu_sim.Trace.block_trace list -> bool
 
-(** [analyze ~grid ~block ~args kernel] runs the full workflow.
-    [sample] limits functional simulation to the first n blocks (exact for
-    block-homogeneous workloads; statistics are scaled, traces replicated).
-    [measure] additionally replays the traces on the timing simulator;
-    [replay_sample] makes that replay simulate a seeded subset of
-    clusters ({!Gpu_timing.Engine.sample}) — the measurement is then an
-    extrapolation carried in [report.measured.sampled], and the
-    [_result] variants append a degraded-confidence warning;
+(** The arguments every entry point takes: a launch of [kernel] over
+    [grid] blocks of [block] threads with [args] bound to its parameters.
+    [sample] limits functional simulation to the first n blocks (exact
+    for block-homogeneous workloads; statistics are scaled, traces
+    replicated).  [measure] additionally replays the traces on the
+    timing simulator; [replay_sample] makes that replay simulate a
+    seeded subset of clusters ({!Gpu_timing.Engine.sample}) — the
+    measurement is then an extrapolation carried in
+    [report.measured.sampled], with a degraded-confidence warning;
     [timeline] is handed to {!Gpu_timing.Engine.run} to record the
     replay's per-pipeline busy intervals and warp states; [ctx] is a
     request-scoped {!Gpu_obs.Trace_ctx} every stage also records into
     (the serve daemon threads one per request). *)
-val analyze :
+type ('kernel, 'out) entry =
   ?spec:Gpu_hw.Spec.t ->
   ?sample:int ->
   ?replay_sample:Gpu_timing.Engine.sample ->
@@ -67,55 +68,33 @@ val analyze :
   grid:int ->
   block:int ->
   args:(string * int32 array) list ->
-  Gpu_kernel.Ir.t ->
-  report
+  'kernel ->
+  'out
 
-(** Like {!analyze} for an already-compiled kernel. *)
-val analyze_compiled :
-  ?spec:Gpu_hw.Spec.t ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?measure:bool ->
-  ?timeline:Gpu_obs.Timeline.t ->
-  ?ctx:Gpu_obs.Trace_ctx.t ->
-  grid:int ->
-  block:int ->
-  args:(string * int32 array) list ->
-  Gpu_kernel.Compile.compiled ->
-  report
-
-(** Like {!analyze} but total: the first failing stage (compile, launch,
-    simulation, model, trace replay) surfaces as a diagnostic; no
-    exception escapes.  On success the report is paired with the pooled
+(** The Figure-1 pipeline itself, total: the first failing stage
+    (compile, launch, simulation, model, trace replay) surfaces as a
+    diagnostic; no exception escapes.  A [sample] below 1 is a [Launch]
+    error.  On success the report is paired with the pooled
     out-of-calibrated-range warnings from the occupancy calculator and
     the model (also available as [report.analysis.warnings] for the
     model's share). *)
 val analyze_result :
-  ?spec:Gpu_hw.Spec.t ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?measure:bool ->
-  ?timeline:Gpu_obs.Timeline.t ->
-  ?ctx:Gpu_obs.Trace_ctx.t ->
-  grid:int ->
-  block:int ->
-  args:(string * int32 array) list ->
-  Gpu_kernel.Ir.t ->
-  (report * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result
+  (Gpu_kernel.Ir.t, (report * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result)
+  entry
 
 (** Like {!analyze_result} for an already-compiled kernel. *)
 val analyze_compiled_result :
-  ?spec:Gpu_hw.Spec.t ->
-  ?sample:int ->
-  ?replay_sample:Gpu_timing.Engine.sample ->
-  ?measure:bool ->
-  ?timeline:Gpu_obs.Timeline.t ->
-  ?ctx:Gpu_obs.Trace_ctx.t ->
-  grid:int ->
-  block:int ->
-  args:(string * int32 array) list ->
-  Gpu_kernel.Compile.compiled ->
-  (report * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result
+  ( Gpu_kernel.Compile.compiled,
+    (report * Gpu_diag.Diag.t list, Gpu_diag.Diag.t) result )
+  entry
+
+(** The raising face, derived from {!analyze_result}: the same pipeline
+    and report, with the first failing stage's diagnostic raised as
+    {!Gpu_diag.Diag.Diag_error}. *)
+val analyze : (Gpu_kernel.Ir.t, report) entry
+
+(** Like {!analyze} for an already-compiled kernel. *)
+val analyze_compiled : (Gpu_kernel.Compile.compiled, report) entry
 
 (** The degraded-confidence warning a sampled timing replay carries
     (empty when the replay was exact).  The [_result] analyzers append

@@ -19,10 +19,7 @@ type limits = {
     30 s drain. *)
 val default_limits : limits
 
-(** Estimated resident bytes of functionally simulating the request:
-    input/output arrays plus per-thread simulator state.  Deliberately
-    rough (correct order of magnitude) — it gates admission, it does not
-    account. *)
+(** {!Registry.working_set_bytes}. *)
 val working_set_bytes : Protocol.params -> int
 
 (** [deadline_at ~now ~limits req] is the absolute [Unix.gettimeofday]

@@ -8,9 +8,6 @@ module Log = Gpu_obs.Log
 module Render = Gpu_report.Render
 module Ledger = Gpu_report.Ledger
 
-let workloads =
-  [ "matmul"; "tridiag"; "spmv"; "reduce"; "histogram"; "degree" ]
-
 let counter_value name =
   match List.assoc_opt name (Metrics.snapshot_counters ()) with
   | Some v -> v
@@ -118,7 +115,7 @@ let ledger_blocks () =
                 med s.Ledger.median_abs_error;
                 pct s.Ledger.latest_error;
               ])
-      workloads
+      Registry.ledger_names
   in
   if rows = [] then [ Render.Para "No ledger records yet." ]
   else

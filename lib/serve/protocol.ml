@@ -14,15 +14,17 @@ let endpoint_name = function
 
 type format = Json | Md | Html
 
-let format_name = function Json -> "json" | Md -> "md" | Html -> "html"
+(* Each [*_name] / [*_of_name] pair reads one table: they cannot disagree. *)
+let name_of table v = List.assoc v table
 
-let format_of_name = function
-  | "json" -> Some Json
-  | "md" -> Some Md
-  | "html" -> Some Html
-  | _ -> None
+let of_name table name =
+  List.find_map (fun (v, n) -> if n = name then Some v else None) table
 
-type params =
+let formats = [ (Json, "json"); (Md, "md"); (Html, "html") ]
+let format_name = name_of formats
+let format_of_name = of_name formats
+
+type params = Registry.params =
   | Matmul of { n : int; tile : int }
   | Tridiag of { nsys : int; n : int; padded : bool }
   | Spmv of { spmv_format : Spmv.format }
@@ -30,14 +32,7 @@ type params =
   | Histogram of { h_blocks : int; bins : int; skew : float }
   | Degree of { d_blocks : int; nodes : int; hub : float }
 
-let workload_name = function
-  | Matmul _ -> "matmul"
-  | Tridiag _ -> "tridiag"
-  | Spmv _ -> "spmv"
-  | Reduce _ -> "reduce" (* the atomic flag rides in params, so the
-                            name round-trips through the wire *)
-  | Histogram _ -> "histogram"
-  | Degree _ -> "degree"
+let workload_name = Registry.workload_name
 
 type request = {
   id : string;
@@ -72,139 +67,11 @@ let device_of_name name = List.assoc_opt name devices
 
 (* --- request parsing ----------------------------------------------------- *)
 
-exception Bad of D.t
-
-let bad fmt =
-  Printf.ksprintf
-    (fun m ->
-      raise
-        (Bad
-           (D.make ~hint:"see the README protocol section for the schema"
-              D.Error D.Serve m)))
-    fmt
-
-let spmv_format_of_name = function
-  | "ell" -> Some Spmv.Ell
-  | "bell" | "bell+im" -> Some Spmv.Bell_im
-  | "imiv" | "bell+imiv" -> Some Spmv.Bell_imiv
-  | _ -> None
-
-let spmv_format_name = function
-  | Spmv.Ell -> "ell"
-  | Spmv.Bell_im -> "bell+im"
-  | Spmv.Bell_imiv -> "bell+imiv"
-
 let known_keys =
   [
     "id"; "workload"; "params"; "device"; "format"; "deadline_ms";
     "measure"; "sample"; "op";
   ]
-
-let known_param_keys =
-  [
-    "n"; "tile"; "nsys"; "padded"; "format"; "blocks"; "atomic"; "bins";
-    "skew"; "nodes"; "hub";
-  ]
-
-let get_int ~what ?default fields key =
-  match List.assoc_opt key fields with
-  | None -> (
-    match default with
-    | Some d -> d
-    | None -> bad "%s: missing required integer field %S" what key)
-  | Some v -> (
-    match Jsonx.to_int v with
-    | Some i -> i
-    | None -> bad "%s: field %S must be an integer" what key)
-
-let get_bool ~what ~default fields key =
-  match List.assoc_opt key fields with
-  | None -> default
-  | Some (Jsonx.Bool b) -> b
-  | Some _ -> bad "%s: field %S must be a boolean" what key
-
-let get_string ~what ?default fields key =
-  match List.assoc_opt key fields with
-  | None -> (
-    match default with
-    | Some d -> d
-    | None -> bad "%s: missing required string field %S" what key)
-  | Some (Jsonx.Str s) -> s
-  | Some _ -> bad "%s: field %S must be a string" what key
-
-let get_float ~what ~default fields key =
-  match List.assoc_opt key fields with
-  | None -> default
-  | Some v -> (
-    match Jsonx.to_float v with
-    | Some f -> f
-    | None -> bad "%s: field %S must be a number" what key)
-
-let positive ~what key v =
-  if v < 1 then bad "%s: field %S must be >= 1, got %d" what key v;
-  v
-
-let fraction ~what key v =
-  if not (v >= 0.0 && v <= 1.0) then
-    bad "%s: field %S must be in [0, 1], got %g" what key v;
-  v
-
-let parse_params ~workload fields =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k known_param_keys) then
-        bad "params: unknown key %S" k)
-    fields;
-  let what = "params" in
-  match workload with
-  | "matmul" ->
-    Matmul
-      {
-        n = positive ~what "n" (get_int ~what ~default:1024 fields "n");
-        tile =
-          positive ~what "tile" (get_int ~what ~default:16 fields "tile");
-      }
-  | "tridiag" ->
-    Tridiag
-      {
-        nsys =
-          positive ~what "nsys" (get_int ~what ~default:512 fields "nsys");
-        n = positive ~what "n" (get_int ~what ~default:512 fields "n");
-        padded = get_bool ~what ~default:false fields "padded";
-      }
-  | "spmv" ->
-    let name = get_string ~what ~default:"ell" fields "format" in
-    (match spmv_format_of_name name with
-    | Some f -> Spmv { spmv_format = f }
-    | None ->
-      bad "params: unknown spmv format %S (ell, bell+im, bell+imiv)" name)
-  | "reduce" ->
-    Reduce
-      {
-        r_blocks =
-          positive ~what "blocks" (get_int ~what ~default:512 fields "blocks");
-        r_atomic = get_bool ~what ~default:false fields "atomic";
-      }
-  | "histogram" ->
-    Histogram
-      {
-        h_blocks =
-          positive ~what "blocks" (get_int ~what ~default:256 fields "blocks");
-        bins = positive ~what "bins" (get_int ~what ~default:64 fields "bins");
-        skew = fraction ~what "skew" (get_float ~what ~default:0.8 fields "skew");
-      }
-  | "degree" ->
-    Degree
-      {
-        d_blocks =
-          positive ~what "blocks" (get_int ~what ~default:256 fields "blocks");
-        nodes =
-          positive ~what "nodes" (get_int ~what ~default:64 fields "nodes");
-        hub = fraction ~what "hub" (get_float ~what ~default:0.3 fields "hub");
-      }
-  | w ->
-    bad "unknown workload %S (matmul, tridiag, spmv, reduce, histogram, \
-         degree)" w
 
 let parse_request line =
   match Jsonx.parse line with
@@ -217,85 +84,62 @@ let parse_request line =
       let fields =
         match json with
         | Jsonx.Obj fields -> fields
-        | _ -> bad "request must be a JSON object"
+        | _ -> Registry.bad "request must be a JSON object"
       in
-      List.iter
-        (fun (k, _) ->
-          if not (List.mem k known_keys) then
-            bad "request: unknown key %S" k)
-        fields;
       let what = "request" in
-      let workload = get_string ~what fields "workload" in
+      Registry.check_keys ~what known_keys fields;
+      let workload = Registry.get_string ~what fields "workload" in
       let param_fields =
         match List.assoc_opt "params" fields with
         | None -> []
         | Some (Jsonx.Obj f) -> f
-        | Some _ -> bad "request: field \"params\" must be an object"
+        | Some _ -> Registry.bad "request: field \"params\" must be an object"
       in
-      let params = parse_params ~workload param_fields in
-      let device = get_string ~what ~default:"baseline" fields "device" in
+      let params = Registry.params_of_fields ~workload param_fields in
+      let device =
+        Registry.get_string ~what ~default:"baseline" fields "device"
+      in
       if device_of_name device = None then
-        bad "unknown device %S (%s)" device
+        Registry.bad "unknown device %S (%s)" device
           (String.concat ", " (List.map fst devices));
       let format_field =
-        get_string ~what ~default:"json" fields "format"
+        Registry.get_string ~what ~default:"json" fields "format"
       in
       let format =
         match format_of_name format_field with
         | Some f -> f
-        | None -> bad "unknown format %S (json, md, html)" format_field
+        | None ->
+          Registry.bad "unknown format %S (json, md, html)" format_field
       in
-      let deadline_ms =
-        match List.assoc_opt "deadline_ms" fields with
+      let optional_int key ~min =
+        match List.assoc_opt key fields with
         | None -> None
         | Some v -> (
           match Jsonx.to_int v with
-          | Some i when i >= 0 -> Some i
-          | Some i -> bad "request: deadline_ms must be >= 0, got %d" i
-          | None -> bad "request: deadline_ms must be an integer")
+          | Some i when i >= min -> Some i
+          | Some i -> Registry.bad "request: %s must be >= %d, got %d" key min i
+          | None -> Registry.bad "request: %s must be an integer" key)
       in
-      let sample =
-        match List.assoc_opt "sample" fields with
-        | None -> None
-        | Some v -> (
-          match Jsonx.to_int v with
-          | Some i when i >= 1 -> Some i
-          | Some i -> bad "request: sample must be >= 1, got %d" i
-          | None -> bad "request: sample must be an integer")
-      in
+      let deadline_ms = optional_int "deadline_ms" ~min:0 in
+      let sample = optional_int "sample" ~min:1 in
       Ok
         {
-          id = get_string ~what ~default:"" fields "id";
+          id = Registry.get_string ~what ~default:"" fields "id";
           params;
           device;
           format;
           deadline_ms;
-          measure = get_bool ~what ~default:false fields "measure";
+          measure = Registry.get_bool ~what ~default:false fields "measure";
           sample;
         }
-    with Bad d -> Error d)
+    with Registry.Bad d -> Error d)
 
 (* --- request encoding ----------------------------------------------------- *)
 
 let jint i = Jsonx.Num (float_of_int i)
 
-let params_to_json = function
-  | Matmul { n; tile } -> Jsonx.Obj [ ("n", jint n); ("tile", jint tile) ]
-  | Tridiag { nsys; n; padded } ->
-    Jsonx.Obj
-      [ ("nsys", jint nsys); ("n", jint n); ("padded", Jsonx.Bool padded) ]
-  | Spmv { spmv_format } ->
-    Jsonx.Obj [ ("format", Jsonx.Str (spmv_format_name spmv_format)) ]
-  | Reduce { r_blocks; r_atomic } ->
-    Jsonx.Obj [ ("blocks", jint r_blocks); ("atomic", Jsonx.Bool r_atomic) ]
-  | Histogram { h_blocks; bins; skew } ->
-    Jsonx.Obj
-      [ ("blocks", jint h_blocks); ("bins", jint bins);
-        ("skew", Jsonx.Num skew) ]
-  | Degree { d_blocks; nodes; hub } ->
-    Jsonx.Obj
-      [ ("blocks", jint d_blocks); ("nodes", jint nodes);
-        ("hub", Jsonx.Num hub) ]
+(* An optional wire field: present only when set. *)
+let opt key enc = function Some v -> [ (key, enc v) ] | None -> []
 
 let request_to_json r =
   Jsonx.Obj
@@ -304,17 +148,13 @@ let request_to_json r =
          [
            ("id", Jsonx.Str r.id);
            ("workload", Jsonx.Str (workload_name r.params));
-           ("params", params_to_json r.params);
+           ("params", Registry.params_to_json r.params);
            ("device", Jsonx.Str r.device);
            ("format", Jsonx.Str (format_name r.format));
          ];
-         (match r.deadline_ms with
-         | Some d -> [ ("deadline_ms", jint d) ]
-         | None -> []);
+         opt "deadline_ms" jint r.deadline_ms;
          [ ("measure", Jsonx.Bool r.measure) ];
-         (match r.sample with
-         | Some s -> [ ("sample", jint s) ]
-         | None -> []);
+         opt "sample" jint r.sample;
        ])
 
 let encode_request r = Jsonx.encode (request_to_json r)
@@ -329,22 +169,15 @@ type status =
   | Shutting_down
   | Malformed
 
-let status_name = function
-  | Completed -> "ok"
-  | Failed -> "error"
-  | Timed_out -> "timeout"
-  | Overloaded -> "overloaded"
-  | Shutting_down -> "shutting_down"
-  | Malformed -> "malformed"
+let statuses =
+  [
+    (Completed, "ok"); (Failed, "error"); (Timed_out, "timeout");
+    (Overloaded, "overloaded"); (Shutting_down, "shutting_down");
+    (Malformed, "malformed");
+  ]
 
-let status_of_name = function
-  | "ok" -> Some Completed
-  | "error" -> Some Failed
-  | "timeout" -> Some Timed_out
-  | "overloaded" -> Some Overloaded
-  | "shutting_down" -> Some Shutting_down
-  | "malformed" -> Some Malformed
-  | _ -> None
+let status_name = name_of statuses
+let status_of_name = of_name statuses
 
 type response = {
   r_id : string;
@@ -385,9 +218,7 @@ let response_to_json r =
            ("status", Jsonx.Str (status_name r.status));
            ("elapsed_ms", Jsonx.Num r.elapsed_ms);
          ];
-         (match r.trace_id with
-         | Some t -> [ ("trace_id", Jsonx.Str t) ]
-         | None -> []);
+         opt "trace_id" (fun t -> Jsonx.Str t) r.trace_id;
          (match r.stage_breakdown with
          | [] -> []
          | stages ->
@@ -396,13 +227,9 @@ let response_to_json r =
                Jsonx.Obj
                  (List.map (fun (n, us) -> (n, Jsonx.Num us)) stages) );
            ]);
-         (match r.confidence with
-         | Some c -> [ ("confidence", Jsonx.Str c) ]
-         | None -> []);
-         (match r.body with Some b -> [ ("result", b) ] | None -> []);
-         (match r.rendered with
-         | Some s -> [ ("report", Jsonx.Str s) ]
-         | None -> []);
+         opt "confidence" (fun c -> Jsonx.Str c) r.confidence;
+         opt "result" Fun.id r.body;
+         opt "report" (fun s -> Jsonx.Str s) r.rendered;
          (match r.diags with
          | [] -> []
          | diags ->
@@ -410,12 +237,8 @@ let response_to_json r =
              ( "diagnostics",
                Jsonx.List (List.map Gpu_report.Render.diag_json diags) );
            ]);
-         (match r.retry_after_ms with
-         | Some ms -> [ ("retry_after_ms", jint ms) ]
-         | None -> []);
-         (match r.queue_depth with
-         | Some n -> [ ("queue_depth", jint n) ]
-         | None -> []);
+         opt "retry_after_ms" jint r.retry_after_ms;
+         opt "queue_depth" jint r.queue_depth;
        ])
 
 let encode_response r = Jsonx.encode (response_to_json r)
@@ -429,12 +252,11 @@ let stage_of_name name =
   in
   List.find_opt (fun s -> D.stage_name s = name) all
 
+let member_str key json =
+  match Jsonx.member key json with Some (Jsonx.Str s) -> Some s | _ -> None
+
 let parse_diag json =
-  let str key =
-    match Jsonx.member key json with
-    | Some (Jsonx.Str s) -> Some s
-    | _ -> None
-  in
+  let str key = member_str key json in
   match (str "severity", str "stage", str "message") with
   | Some sev, Some stage, Some message ->
     let severity =
@@ -453,11 +275,7 @@ let parse_response line =
     Error
       (D.error D.Serve "unparsable response: %s" m)
   | Ok json -> (
-    let str key =
-      match Jsonx.member key json with
-      | Some (Jsonx.Str s) -> Some s
-      | _ -> None
-    in
+    let str key = member_str key json in
     let int key = Option.bind (Jsonx.member key json) Jsonx.to_int in
     match Option.bind (str "status") status_of_name with
     | None -> Error (D.error D.Serve "response has no valid status field")

@@ -28,12 +28,9 @@ type format = Json | Md | Html
 
 val format_name : format -> string
 
-(** Workload selection plus parameters, mirroring the [gpuperf analyze]
-    subcommand.  Protocol-level validation only checks signs and ranges;
-    workload shape constraints (e.g. matmul's tile divisibility) are
-    enforced by kernel construction, whose failure is answered as an
-    error response (crash isolation). *)
-type params =
+(** Workload selection plus parameters; the codec, defaults and range
+    checks live in {!Registry}. *)
+type params = Registry.params =
   | Matmul of { n : int; tile : int }
   | Tridiag of { nsys : int; n : int; padded : bool }
   | Spmv of { spmv_format : Gpu_workloads.Spmv.format }
@@ -41,6 +38,7 @@ type params =
   | Histogram of { h_blocks : int; bins : int; skew : float }
   | Degree of { d_blocks : int; nodes : int; hub : float }
 
+(** {!Registry.workload_name}. *)
 val workload_name : params -> string
 
 type request = {
@@ -84,6 +82,9 @@ type status =
   | Overloaded  (** ["overloaded"] — admission queue full; retry later *)
   | Shutting_down  (** ["shutting_down"] — daemon is draining *)
   | Malformed  (** ["malformed"] — unparsable or oversized line *)
+
+(** Every status with its wire name. *)
+val statuses : (status * string) list
 
 val status_name : status -> string
 val status_of_name : string -> status option

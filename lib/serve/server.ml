@@ -26,11 +26,7 @@ let g_conns = Metrics.gauge "serve.connections"
 let latency_buckets = [| 0.001; 0.005; 0.02; 0.1; 0.5; 2.0; 10.0; 60.0 |]
 let h_latency = Metrics.histogram ~buckets:latency_buckets "serve.request.latency_s"
 
-let all_statuses =
-  [
-    P.Completed; P.Failed; P.Timed_out; P.Overloaded; P.Shutting_down;
-    P.Malformed;
-  ]
+let all_statuses = List.map fst P.statuses
 
 let m_status =
   List.map
@@ -290,7 +286,7 @@ let finish t infl ?ledger resp =
   | Some record when t.cfg.write_ledger -> (
     match
       Gpu_report.Ledger.default_path
-        ~workload:(P.workload_name infl.req.P.params)
+        ~workload:(Registry.ledger_name infl.req.P.params)
     with
     | Some path -> (
       match Gpu_report.Ledger.append ~path record with
@@ -315,37 +311,6 @@ let finish t infl ?ledger resp =
   respond t infl.i_conn resp
 
 (* --- the compute path (worker domains) ------------------------------------ *)
-
-let run_analysis ?replay_sample ?ctx (req : P.request) =
-  let spec =
-    match P.device_of_name req.P.device with
-    | Some s -> s
-    | None -> Gpu_hw.Spec.gtx285
-  in
-  let measure = req.P.measure in
-  let sample = req.P.sample in
-  match req.P.params with
-  | P.Matmul { n; tile } ->
-    Gpu_workloads.Matmul.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      ~n ~tile ()
-  | P.Tridiag { nsys; n; padded } ->
-    Gpu_workloads.Tridiag.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      ~nsys ~n ~padded ()
-  | P.Spmv { spmv_format } ->
-    Gpu_workloads.Spmv.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      (Gpu_workloads.Spmv.qcd_like ())
-      spmv_format
-  | P.Reduce { r_blocks; r_atomic } ->
-    Gpu_workloads.Reduce.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      ~blocks:r_blocks
-      (if r_atomic then Gpu_workloads.Reduce.Atomic
-       else Gpu_workloads.Reduce.Sequential)
-  | P.Histogram { h_blocks; bins; skew } ->
-    Gpu_workloads.Histogram.analyze ~spec ~measure ?sample ?replay_sample
-      ?ctx ~blocks:h_blocks ~bins ~skew ()
-  | P.Degree { d_blocks; nodes; hub } ->
-    Gpu_workloads.Degree.analyze ~spec ~measure ?sample ?replay_sample ?ctx
-      ~blocks:d_blocks ~nodes ~hub ()
 
 (* Deadline pressure → sampled replay: a measured request whose remaining
    budget is tight replays a seeded cluster subset (the seed derives from
@@ -435,7 +400,11 @@ let compute t infl =
     in
     match
       D.protect ~stage:D.Exec (fun () ->
-          run_analysis ?replay_sample ~ctx:infl.ctx infl.req)
+          let req = infl.req in
+          Registry.analyze
+            ?spec:(P.device_of_name req.P.device)
+            ~measure:req.P.measure ?sample:req.P.sample ?replay_sample
+            ~ctx:infl.ctx req.P.params)
     with
     | Ok report ->
       let confidence, body, rendered, diags =
@@ -448,7 +417,7 @@ let compute t infl =
           Some
             (Gpu_report.Ledger.of_report ~git ~host
                ~trace_id:(Trace_ctx.id infl.ctx)
-               ~workload:(P.workload_name infl.req.P.params)
+               ~workload:(Registry.ledger_name infl.req.P.params)
                report)
         else None
       in

@@ -543,6 +543,27 @@ let test_workflow_result () =
   | Ok _ -> Alcotest.fail "broken kernel analyzed"
   | Error d ->
     Alcotest.(check bool) "compile stage" true (d.D.stage = D.Compile));
+  (* a non-positive block sample is a launch error, in both faces *)
+  List.iter
+    (fun sample ->
+      let what = Printf.sprintf "sample %d" sample in
+      match
+        Gpu_model.Workflow.analyze_result ~sample ~grid:8 ~block:64
+          ~args:(vadd_args 512) vadd
+      with
+      | Ok _ -> Alcotest.failf "%s analyzed" what
+      | Error d ->
+        well_formed what d;
+        Alcotest.(check bool) (what ^ ": launch stage") true
+          (d.D.stage = D.Launch);
+        Alcotest.(check bool) (what ^ ": raising face agrees") true
+          (match
+             Gpu_model.Workflow.analyze ~sample ~grid:8 ~block:64
+               ~args:(vadd_args 512) vadd
+           with
+          | _ -> false
+          | exception D.Diag_error d' -> d' = d))
+    [ 0; -3 ];
   (* runtime fault propagates as an exec diagnostic *)
   match
     Gpu_model.Workflow.analyze_result ~grid:1 ~block:32

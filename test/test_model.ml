@@ -528,6 +528,109 @@ let test_whatif_prime_banks () =
   Alcotest.(check bool) "and the prediction improves" true
     (prime.Gpu_model.Whatif.speedup > 1.5)
 
+(* --- one pipeline, two faces ---------------------------------------------- *)
+
+(* Small launches of four case-study kernels; [args] is a thunk because
+   the simulator copies results back into the buffers. *)
+let equivalence_cases =
+  let module W = Gpu_workloads in
+  let zeros n = Array.make n 0l in
+  let tri_args n nsys () =
+    List.map
+      (fun p ->
+        ( p,
+          if p = "b" then Array.make (nsys * n) (Int32.bits_of_float 1.0)
+          else zeros (nsys * n) ))
+      [ "a"; "b"; "c"; "d"; "x" ]
+  in
+  let m = W.Spmv.generate ~block_rows:128 ~offsets:W.Spmv.qcd_offsets () in
+  let spmv_grid, spmv_block = W.Spmv.launch m W.Spmv.Ell in
+  let hist_epb = W.Histogram.elements_per_block ~threads:128 ~items:4 in
+  [
+    ( "matmul tile 16",
+      W.Matmul.kernel ~n:64 ~tile:16,
+      W.Matmul.grid ~n:64 ~tile:16,
+      W.Matmul.threads_per_block,
+      fun () -> [ ("a", zeros 4096); ("b", zeros 4096); ("c", zeros 4096) ] );
+    ( "tridiag",
+      W.Tridiag.kernel ~n:64 ~padded:false,
+      8,
+      W.Tridiag.threads ~n:64,
+      tri_args 64 8 );
+    ( "spmv ELL",
+      W.Spmv.kernel m W.Spmv.Ell,
+      spmv_grid,
+      spmv_block,
+      fun () ->
+        W.Spmv.args m W.Spmv.Ell (Array.make (W.Spmv.rows m) 1.0) );
+    ( "histogram",
+      W.Histogram.kernel ~threads:128 ~bins:64 ~items:4,
+      8,
+      128,
+      fun () ->
+        [
+          ("input", Array.init (8 * hist_epb) (fun i -> Int32.of_int (i mod 7)));
+          ("counts", zeros (8 * 64));
+        ] );
+  ]
+
+(* [analyze] is derived from [analyze_result]: the same report on
+   success, and the same diagnostic (raised) on failure. *)
+let test_raising_matches_total () =
+  List.iter
+    (fun (name, kernel, grid, block, args) ->
+      List.iter
+        (fun measure ->
+          let r =
+            Workflow.analyze ~spec ~sample:2 ~measure ~grid ~block
+              ~args:(args ()) kernel
+          in
+          match
+            Workflow.analyze_result ~spec ~sample:2 ~measure ~grid ~block
+              ~args:(args ()) kernel
+          with
+          | Error d ->
+            Alcotest.failf "%s: total form failed: %s" name
+              (Gpu_diag.Diag.to_string d)
+          | Ok (r', _) ->
+            Alcotest.(check bool) (name ^ ": same stats") true
+              (r.Workflow.stats = r'.Workflow.stats);
+            Alcotest.(check bool) (name ^ ": same model") true
+              (r.Workflow.analysis = r'.Workflow.analysis);
+            Alcotest.(check (option int)) (name ^ ": same measured cycles")
+              (Option.map
+                 (fun (m : Gpu_timing.Engine.result) -> m.cycles)
+                 r'.Workflow.measured)
+              (Option.map
+                 (fun (m : Gpu_timing.Engine.result) -> m.cycles)
+                 r.Workflow.measured))
+        [ false; true ])
+    equivalence_cases;
+  let failing =
+    [
+      ("oversized block", Gpu_workloads.Tridiag.kernel ~n:2048 ~padded:false,
+       Some 2, 4, 1024);
+      ("zero sample", Gpu_workloads.Matmul.kernel ~n:64 ~tile:16, Some 0,
+       Gpu_workloads.Matmul.grid ~n:64 ~tile:16,
+       Gpu_workloads.Matmul.threads_per_block);
+    ]
+  in
+  List.iter
+    (fun (name, kernel, sample, grid, block) ->
+      let args =
+        List.map
+          (fun p -> (p, Array.make (grid * block * 4) 0l))
+          kernel.Ir.params
+      in
+      match Workflow.analyze_result ~spec ?sample ~grid ~block ~args kernel with
+      | Ok _ -> Alcotest.failf "%s: analyzed" name
+      | Error d -> (
+        match Workflow.analyze ~spec ?sample ~grid ~block ~args kernel with
+        | _ -> Alcotest.failf "%s: raising form returned" name
+        | exception Gpu_diag.Diag.Diag_error d' ->
+          Alcotest.(check bool) (name ^ ": same diagnostic") true (d = d')))
+    failing
+
 let () =
   Alcotest.run "model"
     [
@@ -576,4 +679,9 @@ let () =
       ( "what-if",
         [ Alcotest.test_case "prime banks" `Quick test_whatif_prime_banks ]
       );
+      ( "workflow faces",
+        [
+          Alcotest.test_case "analyze = analyze_result" `Quick
+            test_raising_matches_total;
+        ] );
     ]

@@ -83,6 +83,24 @@ let test_request_defaults () =
     && req.P.device = "baseline" && req.P.format = P.Json
     && req.P.deadline_ms = None && (not req.P.measure) && req.P.sample = None)
 
+(* The CLI's workload flags decode through the same table entry as the
+   wire, so a bare subcommand and a bare request get the same params.
+   Absent, the CLI's valued flags are [None] and its switches [false]. *)
+let test_cli_defaults_match_wire () =
+  List.iter
+    (fun w ->
+      let wire =
+        ok_or_fail w
+          (P.parse_request (Printf.sprintf {|{"workload":%S}|} w))
+      in
+      let cli =
+        ok_or_fail w
+          (Gpu_serve.Registry.of_flags ~padded:false ~atomic:false w)
+      in
+      Alcotest.(check bool) (w ^ ": CLI defaults = wire defaults") true
+        (cli = wire.P.params))
+    Gpu_serve.Registry.workloads
+
 let test_request_rejections () =
   let cases =
     [
@@ -277,13 +295,14 @@ let test_replay_sample_policy () =
 
 (* --- in-process server ---------------------------------------------------- *)
 
-let with_server ?(limits = Budget.default_limits) f =
+let with_server ?(limits = Budget.default_limits) ?(write_ledger = false) f
+    =
   let cfg =
     {
       Server.endpoint = P.Tcp ("127.0.0.1", 0);
       limits;
       access_log = None;
-      write_ledger = false;
+      write_ledger;
     }
   in
   let t = ok_or_fail "Server.create" (Server.create cfg) in
@@ -531,6 +550,82 @@ let test_serve_crash_isolation () =
     "worker slot reclaimed; daemon serves on" true
     (resp2.P.status = P.Completed)
 
+(* A failing stage answers with its own diagnostic (stage and hint), not
+   a generic exec-stage "toolchain bug". *)
+let test_serve_stage_diagnostic () =
+  Lazy.force warm;
+  with_server @@ fun _t ep ->
+  with_client ep @@ fun c ->
+  let req =
+    {
+      (small_matmul ~id:"big-block" ()) with
+      P.params = P.Tridiag { nsys = 4; n = 2048; padded = false };
+    }
+  in
+  let resp = ok_or_fail "request" (Client.request c req) in
+  Alcotest.(check bool) "failed" true (resp.P.status = P.Failed);
+  match resp.P.diags with
+  | d :: _ ->
+    Alcotest.(check string) "occupancy stage" "occupancy"
+      (D.stage_name d.D.stage);
+    Alcotest.(check bool) "names the limit" true
+      (d.D.message = "block size 1024 exceeds device maximum 512");
+    Alcotest.(check bool) "no toolchain-bug hint" true
+      (match d.D.hint with
+      | Some h -> not (String.starts_with ~prefix:"this is a toolchain bug" h)
+      | None -> true)
+  | [] -> Alcotest.fail "no diagnostic"
+
+(* Served runs land in the ledger the CLI uses for the same params: the
+   atomic reduce in reduce-atomic.jsonl, apart from the tree variant. *)
+let test_serve_ledger_names () =
+  Lazy.force warm;
+  let old = Sys.getenv_opt "GPUPERF_CACHE_DIR" in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "gpuperf-serve-ledger-%d" (Unix.getpid ()))
+  in
+  let ledger name =
+    Filename.concat (Filename.concat dir "ledger") (name ^ ".jsonl")
+  in
+  List.iter
+    (fun n -> if Sys.file_exists (ledger n) then Sys.remove (ledger n))
+    [ "reduce"; "reduce-atomic" ];
+  Unix.putenv "GPUPERF_CACHE_DIR" dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "GPUPERF_CACHE_DIR" (Option.value ~default:"" old))
+  @@ fun () ->
+  (with_server ~write_ledger:true @@ fun _t ep ->
+   with_client ep @@ fun c ->
+   List.iter
+     (fun (id, atomic) ->
+       let req =
+         {
+           (small_matmul ~id ()) with
+           P.params = P.Reduce { r_blocks = 8; r_atomic = atomic };
+         }
+       in
+       let resp = ok_or_fail id (Client.request c req) in
+       Alcotest.(check bool) (id ^ " completed") true
+         (resp.P.status = P.Completed);
+       Alcotest.(check bool) (id ^ ": wire name stays reduce") true
+         (Option.bind resp.P.body (Jsonx.member "workload")
+         = Some (Jsonx.Str "reduce")))
+     [ ("tree", false); ("atomic", true) ]);
+  let records name =
+    if not (Sys.file_exists (ledger name)) then 0
+    else
+      In_channel.with_open_text (ledger name) In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+      |> List.length
+  in
+  Alcotest.(check int) "tree run in reduce.jsonl" 1 (records "reduce");
+  Alcotest.(check int) "atomic run in reduce-atomic.jsonl" 1
+    (records "reduce-atomic")
+
 let test_serve_malformed_and_oversized () =
   let limits = { Budget.default_limits with Budget.max_request_bytes = 512 } in
   with_server ~limits @@ fun _t ep ->
@@ -669,6 +764,8 @@ let () =
           Alcotest.test_case "request encode∘parse round-trip" `Quick
             test_request_roundtrip;
           Alcotest.test_case "request defaults" `Quick test_request_defaults;
+          Alcotest.test_case "CLI defaults match the wire" `Quick
+            test_cli_defaults_match_wire;
           Alcotest.test_case "malformed requests rejected" `Quick
             test_request_rejections;
           Alcotest.test_case "response round-trip" `Quick
@@ -704,6 +801,10 @@ let () =
             test_serve_backpressure;
           Alcotest.test_case "a crashing request is isolated" `Quick
             test_serve_crash_isolation;
+          Alcotest.test_case "failing stage keeps its diagnostic" `Quick
+            test_serve_stage_diagnostic;
+          Alcotest.test_case "ledger file per ledger name" `Quick
+            test_serve_ledger_names;
           Alcotest.test_case "malformed and oversized lines" `Quick
             test_serve_malformed_and_oversized;
           Alcotest.test_case "control ops and HTTP endpoints" `Quick
