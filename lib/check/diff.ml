@@ -48,6 +48,8 @@ let is_work = function
 (* Mirror the interpreter's per-stage accounting for one abstract case. *)
 let stats_of_case ~(spec : Gpu_hw.Spec.t) (c : Case.t) =
   let st = Stats.create () in
+  (* synthetic events have no program counter to attribute to *)
+  let pc = Stats.no_pc in
   (* coalescing groups a full warp decomposes into: 2 half-warps on the
      GT200 baseline, 1 full-warp group on 32-bank specs — the
      conflict/contention-free ideal per warp-access *)
@@ -66,39 +68,34 @@ let stats_of_case ~(spec : Gpu_hw.Spec.t) (c : Case.t) =
                   Stats.count_active_warp st ~stage:k;
                 Array.iter
                   (function
-                    | Case.Alu { cls; _ } -> Stats.count_issue st ~stage:k cls
+                    | Case.Alu { cls; _ } -> Stats.count_issue st ~stage:k ~pc cls
                     | Case.Smem { fused; txns; _ } ->
-                      Stats.count_issue st ~stage:k
+                      Stats.count_issue st ~stage:k ~pc
                         (if fused then I.Class_ii else I.Class_mem);
                       if fused then Stats.count_mad st ~stage:k;
                       (* a conflict-free warp access needs one
                          transaction per coalescing group; the generator
                          only inflates *)
-                      Stats.count_smem st ~stage:k ~txns
+                      Stats.count_smem st ~stage:k ~pc ~txns
                         ~ideal:(min txns groups)
                     | Case.Atomic { txns; _ } ->
-                      Stats.count_issue st ~stage:k I.Class_mem;
+                      Stats.count_issue st ~stage:k ~pc I.Class_mem;
                       (* contention-free would be one transaction per
                          active coalescing group; the generator's txns
                          only inflate from there *)
-                      Stats.count_atomic st ~stage:k ~txns
+                      Stats.count_atomic st ~stage:k ~pc ~txns
                         ~ideal:(min txns groups)
                     | Case.Gmem { txns; _ } ->
-                      Stats.count_issue st ~stage:k I.Class_mem;
-                      let txns =
-                        Array.to_list
-                          (Array.map
-                             (fun (base, size) ->
-                               { Gpu_mem.Coalesce.base; size })
-                             txns)
-                      in
-                      Stats.count_gmem st ~stage:k ~txns
-                        ~requested:(Gpu_mem.Coalesce.bytes txns))
+                      Stats.count_issue st ~stage:k ~pc I.Class_mem;
+                      let sizes = Array.map snd txns in
+                      Stats.count_gmem st ~stage:k ~pc
+                        ~requested:(Array.fold_left ( + ) 0 sizes)
+                        sizes (Array.length sizes))
                   evs;
                 (* the barrier terminating stage k issues in stage k,
                    like the interpreter's Bar *)
                 if k < b.nstages - 1 then begin
-                  Stats.count_issue st ~stage:k I.Class_ctrl;
+                  Stats.count_issue st ~stage:k ~pc I.Class_ctrl;
                   Stats.count_barrier st ~stage:k
                 end)
               stages)

@@ -11,166 +11,253 @@
    Accesses wider than one word span several banks: a 64-bit access on
    GT200 touches two adjacent 4-byte words, so even a perfectly strided
    64-bit pattern costs two transactions per half-warp — every word a lane
-   touches is tallied in its bank. *)
+   touches is tallied in its bank.
+
+   The analyzers run once per shared access in the functional simulator's
+   hot path, so they work on a lane address array plus an enabled-lane
+   mask ({!Lanes}) and tally through a caller-owned [scratch]: an access
+   allocates nothing.  The [int option array] functions at the end are
+   thin wrappers for one-off callers. *)
 
 let word_size = 4
 
-(* Words [addr/4 .. (addr+width-1)/4] touched by one lane's access.
-   Negative addresses are rejected: OCaml's [/] and [mod] truncate toward
-   zero, so [-1 / 4 = 0] would silently tally the access in word 0 of
-   bank 0 instead of failing like [Machine.shared_check] does. *)
-let iter_words ~width addr f =
-  if addr < 0 then
-    invalid_arg (Printf.sprintf "Bank: negative address %d" addr);
-  let first = addr / word_size in
-  let last = (addr + width - 1) / word_size in
-  for w = first to last do
-    f w
-  done
+(* [words]: the words one group touches, in lane order; [per_bank]: a
+   tally per bank; [head]/[next]: per bank, a chain through [words] of the
+   distinct words seen in it so far.  [per_bank] is all zero and [head]
+   all [-1] between calls. *)
+type scratch = {
+  mutable words : int array;
+  mutable next : int array;
+  mutable per_bank : int array;
+  mutable head : int array;
+}
+
+let scratch () = { words = [||]; next = [||]; per_bank = [||]; head = [||] }
 
 let check_width ~who width =
   if width <= 0 then
     invalid_arg (Printf.sprintf "Bank.%s: width must be > 0" who)
 
-(* Conflict degree of the access group [addresses.(start .. start+len-1)]:
-   the maximum, over banks, of the number of *distinct* words addressed in
-   that bank.  The range form exists so [warp_transactions] can walk a
-   warp's groups without allocating a slice per group — this runs once per
-   shared access in the functional simulator's hot path. *)
-let conflict_degree_range ~width ~banks addresses start len =
-  if banks <= 0 then invalid_arg "Bank.conflict_degree: banks must be > 0";
-  check_width ~who:"conflict_degree" width;
-  let per_bank = Hashtbl.create 16 in
+let check_group ~who group =
+  if group <= 0 then
+    invalid_arg (Printf.sprintf "Bank.%s: group must be > 0" who)
+
+let check_lanes ~who addrs =
+  if Array.length addrs > Lanes.max then
+    invalid_arg (Printf.sprintf "Bank.%s: more than %d lanes" who Lanes.max)
+
+(* [w mod banks], without the division for the usual power-of-two bank
+   counts: this runs for every word of every shared access. *)
+let[@inline] bank_of ~banks w =
+  if banks land (banks - 1) = 0 then w land (banks - 1) else w mod banks
+
+let words_per_lane ~width = ((width + word_size - 1) / word_size) + 1
+
+let reserve s ~words ~banks =
+  if Array.length s.words < words then begin
+    s.words <- Array.make words 0;
+    s.next <- Array.make words 0
+  end;
+  if Array.length s.per_bank < banks then begin
+    s.per_bank <- Array.make banks 0;
+    s.head <- Array.make banks (-1)
+  end
+
+(* Negative addresses are rejected: OCaml's [/] and [mod] truncate toward
+   zero, so [-1 / 4 = 0] would silently tally the access in word 0 of
+   bank 0 instead of failing like the interpreter's shared-memory check
+   does.  The group walkers below note a negative address and raise once
+   their loop is done and the scratch is clean again — no call inside the
+   per-lane loop. *)
+let negative_address () = invalid_arg "Bank: negative address"
+
+(* The address every enabled lane of the group reads: [-1] when no lane
+   is enabled, [-2] when they differ or one is negative (left to the
+   general walk, which rejects it). *)
+let common_address addrs mask start len =
+  let common = ref (-1) in
   for i = start to start + len - 1 do
-    match addresses.(i) with
-    | None -> ()
-    | Some addr ->
-      iter_words ~width addr (fun w ->
-          let b = w mod banks in
-          let words =
-            match Hashtbl.find_opt per_bank b with
-            | Some ws -> ws
-            | None ->
-              let ws = Hashtbl.create 4 in
-              Hashtbl.add per_bank b ws;
-              ws
-          in
-          Hashtbl.replace words w ())
+    if mask land (1 lsl i) <> 0 then begin
+      let a = addrs.(i) in
+      if a < 0 then common := -2
+      else if !common = -1 then common := a
+      else if !common <> a then common := -2
+    end
   done;
-  Hashtbl.fold (fun _ words acc -> max acc (Hashtbl.length words)) per_bank 0
+  !common
 
-let conflict_degree ?(width = word_size) ~banks addresses =
-  conflict_degree_range ~width ~banks addresses 0 (Array.length addresses)
-
-(* Number of serialized shared-memory transactions needed to serve one
-   access group: its conflict degree (0 if no lane is active, which costs no
-   transaction). *)
-let transactions ?width ~banks addresses =
-  conflict_degree ?width ~banks addresses
-
-(* Split a warp's lane addresses into half-warp groups of [group] lanes and
-   sum their transaction counts.  This is the effective transaction count
-   the performance model charges against shared-memory bandwidth. *)
-let warp_transactions ?(width = word_size) ~banks ~group addresses =
-  if group <= 0 then invalid_arg "Bank.warp_transactions: group must be > 0";
-  let n = Array.length addresses in
-  let rec go start acc =
-    if start >= n then acc
-    else
-      let len = min group (n - start) in
-      go (start + group)
-        (acc + conflict_degree_range ~width ~banks addresses start len)
-  in
-  go 0 0
+(* Conflict degree of one access group [start, start+len): the maximum,
+   over banks, of the number of *distinct* words the enabled lanes address
+   in that bank (0 when no lane is enabled).  Each lane tallies the words
+   [addr/4 .. (addr+width-1)/4] it touches; a word counts at its first
+   occurrence only — the broadcast — found by walking the chain of words
+   already counted in its bank, so a conflict-free access costs one probe
+   per word.  A group reading one address (a broadcast) skips the walk:
+   its distinct words are that address's consecutive ones. *)
+let conflict_degree_group s ~width ~banks addrs mask start len =
+  match common_address addrs mask start len with
+  | -1 -> 0
+  | -2 ->
+    let words = s.words and next = s.next in
+    let per_bank = s.per_bank and head = s.head in
+    let best = ref 0 and distinct = ref 0 and negative = ref false in
+    for i = start to start + len - 1 do
+      if mask land (1 lsl i) <> 0 then begin
+        let addr = addrs.(i) in
+        if addr < 0 then negative := true
+        else
+          for w = addr / word_size to (addr + width - 1) / word_size do
+            let b = bank_of ~banks w in
+            let j = ref head.(b) in
+            while !j >= 0 && words.(!j) <> w do
+              j := next.(!j)
+            done;
+            if !j < 0 then begin
+              let k = !distinct in
+              words.(k) <- w;
+              next.(k) <- head.(b);
+              head.(b) <- k;
+              distinct := k + 1;
+              let c = per_bank.(b) + 1 in
+              per_bank.(b) <- c;
+              if c > !best then best := c
+            end
+          done
+      end
+    done;
+    for k = 0 to !distinct - 1 do
+      let b = bank_of ~banks words.(k) in
+      per_bank.(b) <- 0;
+      head.(b) <- -1
+    done;
+    if !negative then negative_address ();
+    !best
+  | addr ->
+    let words = ((addr + width - 1) / word_size) - (addr / word_size) + 1 in
+    (words + banks - 1) / banks
 
 (* --- Atomic serialization (DESIGN §15) --------------------------------
 
    An atomic read-modify-write cannot be served by broadcast: two lanes
    hitting the *same* word must still serialize, because each one's read
-   must observe the previous one's write.  So where [conflict_degree]
+   must observe the previous one's write.  So where the conflict degree
    counts distinct words per bank, the atomic degree counts every access
    per bank *with multiplicity* — the maximum over banks of the total
    lane-word accesses landing there is how many back-to-back shared-memory
    cycles the group occupies. *)
-let atomic_degree_range ~width ~banks addresses start len =
-  if banks <= 0 then invalid_arg "Bank.atomic_degree: banks must be > 0";
-  check_width ~who:"atomic_degree" width;
-  let per_bank = Hashtbl.create 16 in
+let atomic_degree_group s ~width ~banks addrs mask start len =
+  let per_bank = s.per_bank in
+  let best = ref 0 and negative = ref false in
   for i = start to start + len - 1 do
-    match addresses.(i) with
-    | None -> ()
-    | Some addr ->
-      iter_words ~width addr (fun w ->
-          let b = w mod banks in
-          let n =
-            match Hashtbl.find_opt per_bank b with
-            | Some n -> n
-            | None -> 0
-          in
-          Hashtbl.replace per_bank b (n + 1))
+    if mask land (1 lsl i) <> 0 then begin
+      let addr = addrs.(i) in
+      if addr < 0 then negative := true
+      else
+        for w = addr / word_size to (addr + width - 1) / word_size do
+          let b = bank_of ~banks w in
+          let c = per_bank.(b) + 1 in
+          per_bank.(b) <- c;
+          if c > !best then best := c
+        done
+    end
   done;
-  Hashtbl.fold (fun _ n acc -> max acc n) per_bank 0
+  Array.fill per_bank 0 (Array.length per_bank) 0;
+  if !negative then negative_address ();
+  !best
 
-(* Serialized transactions one access group of atomics needs: the maximum
-   over banks of the multiplicity-counted accesses (0 if no lane active). *)
-let atomic_transactions ?(width = word_size) ~banks addresses =
-  atomic_degree_range ~width ~banks addresses 0 (Array.length addresses)
+(* Sum [degree] over the warp's access groups of [group] lanes (half-warps
+   on real hardware). *)
+let sum_groups ~who degree s ~width ~banks ~group addrs mask =
+  if banks <= 0 then invalid_arg (Printf.sprintf "Bank.%s: banks must be > 0" who);
+  check_width ~who width;
+  check_group ~who group;
+  check_lanes ~who addrs;
+  let n = Array.length addrs in
+  reserve s ~words:(min group n * words_per_lane ~width) ~banks;
+  let acc = ref 0 and start = ref 0 in
+  while !start < n do
+    let len = min group (n - !start) in
+    acc := !acc + degree s ~width ~banks addrs mask !start len;
+    start := !start + group
+  done;
+  !acc
 
-(* Sum of per-group atomic serialization over a warp's half-warp groups:
-   what the model charges the atomic component for this access. *)
-let warp_atomic_transactions ?(width = word_size) ~banks ~group addresses =
-  if group <= 0 then
-    invalid_arg "Bank.warp_atomic_transactions: group must be > 0";
-  let n = Array.length addresses in
-  let rec go start acc =
-    if start >= n then acc
-    else
-      let len = min group (n - start) in
-      go (start + group)
-        (acc + atomic_degree_range ~width ~banks addresses start len)
-  in
-  go 0 0
+(* The effective transaction count the performance model charges against
+   shared-memory bandwidth. *)
+let warp_transactions_masked s ~width ~banks ~group addrs ~mask =
+  sum_groups ~who:"warp_transactions" conflict_degree_group s ~width ~banks
+    ~group addrs mask
 
-(* Contention-free floor for the same access: one transaction per group
-   with at least one active lane — the count a conflict-free, fully
-   diverged-address atomic would achieve. *)
-let ideal_warp_atomic_transactions ~group addresses =
-  if group <= 0 then
-    invalid_arg "Bank.ideal_warp_atomic_transactions: group must be > 0";
-  let n = Array.length addresses in
-  let rec go start acc =
-    if start >= n then acc
-    else
-      let len = min group (n - start) in
-      let active = ref false in
-      for i = start to start + len - 1 do
-        if addresses.(i) <> None then active := true
-      done;
-      go (start + group) (acc + if !active then 1 else 0)
-  in
-  go 0 0
+(* What the model charges the atomic component for this access. *)
+let warp_atomic_transactions_masked s ~width ~banks ~group addrs ~mask =
+  sum_groups ~who:"warp_atomic_transactions" atomic_degree_group s ~width
+    ~banks ~group addrs mask
 
 (* Conflict-free transaction count for the same access: the widest active
    lane's word count per group with at least one active lane (a multi-word
    access needs that many transactions even without conflicts). *)
-let ideal_warp_transactions ?(width = word_size) ~group addresses =
-  if group <= 0 then
-    invalid_arg "Bank.ideal_warp_transactions: group must be > 0";
+let ideal_warp_transactions_masked ~width ~group addrs ~mask =
+  check_group ~who:"ideal_warp_transactions" group;
   check_width ~who:"ideal_warp_transactions" width;
-  let words_of addr =
-    ((addr + width - 1) / word_size) - (addr / word_size) + 1
-  in
-  let n = Array.length addresses in
-  let rec go start acc =
-    if start >= n then acc
-    else
-      let len = min group (n - start) in
-      let widest = ref 0 in
-      for i = start to start + len - 1 do
-        match addresses.(i) with
-        | Some a -> widest := max !widest (words_of a)
-        | None -> ()
-      done;
-      go (start + group) (acc + !widest)
-  in
-  go 0 0
+  check_lanes ~who:"ideal_warp_transactions" addrs;
+  let n = Array.length addrs in
+  let acc = ref 0 and start = ref 0 in
+  while !start < n do
+    let widest = ref 0 in
+    for i = !start to min n (!start + group) - 1 do
+      if mask land (1 lsl i) <> 0 then begin
+        let a = addrs.(i) in
+        let words = ((a + width - 1) / word_size) - (a / word_size) + 1 in
+        if words > !widest then widest := words
+      end
+    done;
+    acc := !acc + !widest;
+    start := !start + group
+  done;
+  !acc
+
+(* Groups of [group] lanes with at least one lane enabled: the
+   contention-free floor of an atomic access — the count a conflict-free,
+   fully diverged-address atomic would achieve — and the conflict-free
+   count of any access whose lanes each touch one word. *)
+let active_groups ~group ~lanes ~mask =
+  check_group ~who:"active_groups" group;
+  let acc = ref 0 and start = ref 0 in
+  while !start < lanes do
+    let len = min group (lanes - !start) in
+    if mask land Lanes.range_mask !start len <> 0 then incr acc;
+    start := !start + group
+  done;
+  !acc
+
+(* --- [int option array] wrappers --------------------------------------- *)
+
+let whole_group ~who degree ?(width = word_size) ~banks addresses =
+  let addrs, mask = Lanes.of_options addresses in
+  let group = max 1 (Array.length addrs) in
+  sum_groups ~who degree (scratch ()) ~width ~banks ~group addrs mask
+
+let conflict_degree ?width ~banks addresses =
+  whole_group ~who:"conflict_degree" conflict_degree_group ?width ~banks
+    addresses
+
+let atomic_transactions ?width ~banks addresses =
+  whole_group ~who:"atomic_degree" atomic_degree_group ?width ~banks
+    addresses
+
+let warp_transactions ?(width = word_size) ~banks ~group addresses =
+  let addrs, mask = Lanes.of_options addresses in
+  warp_transactions_masked (scratch ()) ~width ~banks ~group addrs ~mask
+
+let warp_atomic_transactions ?(width = word_size) ~banks ~group addresses =
+  let addrs, mask = Lanes.of_options addresses in
+  warp_atomic_transactions_masked (scratch ()) ~width ~banks ~group addrs
+    ~mask
+
+let ideal_warp_transactions ?(width = word_size) ~group addresses =
+  let addrs, mask = Lanes.of_options addresses in
+  ideal_warp_transactions_masked ~width ~group addrs ~mask
+
+let ideal_warp_atomic_transactions ~group addresses =
+  let _, mask = Lanes.of_options addresses in
+  active_groups ~group ~lanes:(Array.length addresses) ~mask

@@ -10,7 +10,12 @@
    The issue group is a half-warp (16 threads) on real hardware; the paper's
    Figure 10 example uses 2 threads and an 8-byte segment, and its Figure 11
    what-if sweeps segment granularities of 32, 16 and 4 bytes, so all three
-   parameters are configurable. *)
+   parameters are configurable.
+
+   The protocol runs once per global access in the functional simulator's
+   hot path, so it works on a lane address array plus an enabled-lane mask
+   ({!Lanes}) and writes into a reusable [txns] buffer; the
+   [int option array] / [txn list] functions wrap it. *)
 
 type txn = { base : int; size : int }
 
@@ -35,114 +40,121 @@ let check_config c =
     invalid_arg "Coalesce: min_segment > max_segment";
   if c.group <= 0 then invalid_arg "Coalesce: group must be positive"
 
-let check_addresses ~width addresses start len =
-  for i = start to start + len - 1 do
-    match addresses.(i) with
-    | Some a when a < 0 || a mod width <> 0 ->
-      invalid_arg
-        "Coalesce.group_transactions: addresses must be width-aligned"
-    | Some _ | None -> ()
+(* The transactions serving one access, in service order: a growable
+   buffer the caller reuses across accesses. *)
+type txns = {
+  mutable count : int;
+  mutable bases : int array;
+  mutable sizes : int array;
+}
+
+let txns () = { count = 0; bases = Array.make 32 0; sizes = Array.make 32 0 }
+
+let push out base size =
+  if out.count = Array.length out.bases then begin
+    let grow a =
+      let b = Array.make (2 * Array.length a) 0 in
+      Array.blit a 0 b 0 out.count;
+      b
+    in
+    out.bases <- grow out.bases;
+    out.sizes <- grow out.sizes
+  end;
+  out.bases.(out.count) <- base;
+  out.sizes.(out.count) <- size;
+  out.count <- out.count + 1
+
+let misaligned () =
+  invalid_arg "Coalesce.group_transactions: addresses must be width-aligned"
+
+(* Serve the enabled lanes of the issue group [start, start+len),
+   appending the transactions to [out] in service order.  Every lane is
+   visited by the scan that serves it, which also checks its alignment
+   ([width] is a power of two in every interpreter access, so the check is
+   a mask then). *)
+let serve_group c ~width addrs mask ~start ~len out =
+  let pow2 = width land (width - 1) = 0 in
+  let pending = ref (mask land Lanes.range_mask start len)
+  and leader = ref start and bad = ref false in
+  while !pending <> 0 do
+    (* Step 1: the max_segment-aligned segment holding the lowest-numbered
+       unserved lane. *)
+    while !pending land (1 lsl !leader) = 0 do
+      incr leader
+    done;
+    let seg = c.max_segment in
+    let base = addrs.(!leader) land lnot (seg - 1) in
+    (* Step 2: which unserved lanes fall entirely inside it. *)
+    let lo = ref max_int and hi = ref 0 and served = ref 0 in
+    for i = !leader to start + len - 1 do
+      if !pending land (1 lsl i) <> 0 then begin
+        let a = addrs.(i) in
+        if a < 0 || (if pow2 then a land (width - 1) else a mod width) <> 0
+        then bad := true;
+        if a >= base && a + width <= base + seg then begin
+          if a < !lo then lo := a;
+          if a + width > !hi then hi := a + width;
+          served := !served lor (1 lsl i)
+        end
+      end
+    done;
+    (* a misaligned lane rejects the whole access *)
+    if !bad then pending := 0
+    else begin
+      (* Step 3: shrink while all members fit in one half. *)
+      let tbase = ref base and tsize = ref seg and shrinking = ref true in
+      while !shrinking && !tsize / 2 >= c.min_segment do
+        let half = !tsize / 2 in
+        if !hi <= !tbase + half then tsize := half
+        else if !lo >= !tbase + half then begin
+          tbase := !tbase + half;
+          tsize := half
+        end
+        else shrinking := false
+      done;
+      push out !tbase !tsize;
+      pending := !pending land lnot !served
+    end
+  done;
+  if !bad then misaligned ()
+
+(* Serve a full warp: split into issue groups of [c.group] lanes.  [out]
+   is cleared first. *)
+let warp_transactions_masked c ~width out addrs ~mask =
+  check_config c;
+  if width > c.max_segment then
+    invalid_arg "Coalesce.group_transactions: access wider than a segment";
+  if Array.length addrs > Lanes.max then
+    invalid_arg "Coalesce: too many lanes for a mask";
+  out.count <- 0;
+  let n = Array.length addrs in
+  let start = ref 0 in
+  while !start < n do
+    let len = min c.group (n - !start) in
+    serve_group c ~width addrs mask ~start:!start ~len out;
+    start := !start + c.group
   done
 
-(* Serve the issue group [addresses.(start + i) for i < len] without
-   copying it (this runs once per global access in the functional
-   simulator's hot path).  [served_lane.(i)], false on entry for i < len,
-   flags lanes already served.  Transactions are consed onto [acc] in
-   reverse service order. *)
-let serve_group c ~width addresses start len served_lane acc =
-  let served = ref acc in
-  let remaining () =
-    let first = ref (-1) in
-    (try
-       for i = 0 to len - 1 do
-         if not served_lane.(i) then
-           match addresses.(start + i) with
-           | Some _ ->
-             first := i;
-             raise Exit
-           | None -> ()
-       done
-     with Exit -> ());
-    !first
-  in
-  let rec serve () =
-    let leader = remaining () in
-    if leader < 0 then !served
-    else begin
-      let leader_addr =
-        match addresses.(start + leader) with
-        | Some a -> a
-        (* invariant, not input-reachable: [remaining] only ever returns
-           the index of an unserved active lane *)
-        | None -> assert false
-      in
-      (* Step 1: the max_segment-aligned segment holding the leader. *)
-      let seg = c.max_segment in
-      let base = leader_addr / seg * seg in
-      (* Step 2: which unserved threads fall entirely inside it. *)
-      let inside a = a >= base && a + width <= base + seg in
-      let lo = ref max_int and hi = ref 0 in
-      for i = 0 to len - 1 do
-        if not served_lane.(i) then
-          match addresses.(start + i) with
-          | Some a when inside a ->
-            lo := min !lo a;
-            hi := max !hi (a + width)
-          | Some _ | None -> ()
-      done;
-      (* Step 3: shrink while all members fit in one half. *)
-      let rec shrink base size =
-        if size / 2 >= c.min_segment then
-          let half = size / 2 in
-          if !hi <= base + half then shrink base half
-          else if !lo >= base + half then shrink (base + half) half
-          else (base, size)
-        else (base, size)
-      in
-      let tbase, tsize = shrink base seg in
-      for i = 0 to len - 1 do
-        if not served_lane.(i) then
-          match addresses.(start + i) with
-          | Some a when inside a -> served_lane.(i) <- true
-          | Some _ | None -> ()
-      done;
-      served := { base = tbase; size = tsize } :: !served;
-      serve ()
-    end
-  in
-  serve ()
+let to_list out =
+  List.init out.count (fun i -> { base = out.bases.(i); size = out.sizes.(i) })
 
 (* Serve one issue group.  [addresses.(i) = Some a] is the byte address
    requested by thread [i]; [None] marks an inactive thread.  [width] is the
    access width in bytes.  Returns transactions in service order. *)
 let group_transactions c ~width addresses =
   check_config c;
-  let n = Array.length addresses in
-  if n > c.group then
+  if Array.length addresses > c.group then
     invalid_arg "Coalesce.group_transactions: more threads than group size";
-  if width > c.max_segment then
-    invalid_arg "Coalesce.group_transactions: access wider than a segment";
-  check_addresses ~width addresses 0 n;
-  List.rev (serve_group c ~width addresses 0 n (Array.make (max n 1) false) [])
+  let addrs, mask = Lanes.of_options addresses in
+  let out = txns () in
+  warp_transactions_masked c ~width out addrs ~mask;
+  to_list out
 
-(* Serve a full warp: split into issue groups of [c.group] threads, reusing
-   one served-lane buffer across the groups. *)
 let warp_transactions c ~width addresses =
-  check_config c;
-  if width > c.max_segment then
-    invalid_arg "Coalesce.group_transactions: access wider than a segment";
-  let n = Array.length addresses in
-  check_addresses ~width addresses 0 n;
-  let served_lane = Array.make c.group false in
-  let rec go start acc =
-    if start >= n then List.rev acc
-    else begin
-      let len = min c.group (n - start) in
-      Array.fill served_lane 0 len false;
-      go (start + c.group) (serve_group c ~width addresses start len served_lane acc)
-    end
-  in
-  go 0 []
+  let addrs, mask = Lanes.of_options addresses in
+  let out = txns () in
+  warp_transactions_masked c ~width out addrs ~mask;
+  to_list out
 
 let bytes txns = List.fold_left (fun acc t -> acc + t.size) 0 txns
 

@@ -12,6 +12,29 @@ type config = {
 
 val config_of_spec : Gpu_hw.Spec.t -> config
 
+(** The transactions serving one access, in service order: a growable
+    buffer reused across accesses.  Entries [0 .. count-1] of [bases] and
+    [sizes] are valid. *)
+type txns = private {
+  mutable count : int;
+  mutable bases : int array;
+  mutable sizes : int array;
+}
+
+val txns : unit -> txns
+
+(** [warp_transactions_masked c ~width out addrs ~mask] serves a warp
+    access — byte address [addrs.(i)] for each lane [i] enabled in [mask]
+    ({!Lanes}) — split into issue groups of [c.group] lanes, replacing the
+    contents of [out].  Allocates nothing once [out] has grown.  Raises
+    [Invalid_argument] on a bad config, an access wider than a segment,
+    a negative or misaligned enabled address, or beyond {!Lanes.max}
+    lanes. *)
+val warp_transactions_masked :
+  config -> width:int -> txns -> int array -> mask:int -> unit
+
+(** {2 [int option array] wrappers} *)
+
 (** Transactions serving one issue group.  [addresses.(i) = Some a] is the
     byte address requested by thread [i] ([None] = inactive); [width] is the
     access width in bytes.  Addresses must be width-aligned. *)

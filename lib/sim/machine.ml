@@ -7,7 +7,19 @@
    until it reaches a barrier or exits, then the next warp runs.  This is
    functionally exact for programs whose cross-warp shared-memory
    communication is barrier-delimited — which the barrier programming model
-   requires anyway. *)
+   requires anyway.
+
+   The interpreter is built so that a warp-instruction allocates nothing
+   beyond the trace event it may record (DESIGN §16):
+   - the program is decoded once per run into one flat record of ints per
+     pc — opcode, operands as register rows or immediates, guard, memory
+     operand, resolved branch targets, the static trace sources and, for
+     instructions without a memory access, the whole shared trace event;
+   - registers are two [int array] planes (low and high 32-bit word,
+     {!Value}), predicates one lane mask each, shared memory a [Bytes];
+   - per-lane addresses go into one reusable array next to the enable
+     mask, and the bank and coalescing analyzers tally into reusable
+     scratch ({!Gpu_mem.Lanes}). *)
 
 module I = Gpu_isa.Instr
 
@@ -15,22 +27,249 @@ exception Stuck of string
 
 let stuck fmt = Printf.ksprintf (fun s -> raise (Stuck s)) fmt
 
-type config = {
+let lanes = 32
+
+let num_preds = 4
+
+let full_mask n = (1 lsl n) - 1
+
+(* --- Decoded program ------------------------------------------------------ *)
+
+(* Opcodes of the decoded form: register-to-register operations first,
+   then the memory accesses, then control. *)
+let op_mov = 0
+let op_mov_sreg = 1
+let op_alu1 = 2 (* sfu, cvt *)
+let op_alu2 = 3 (* integer and single-precision binary operations *)
+let op_alu3 = 4 (* imad, fmad *)
+let op_dop = 5
+let op_dfma = 6
+let op_setp = 7
+let op_selp = 8
+let op_fmad_smem = 9
+let op_ld_shared = 10
+let op_st_shared = 11
+let op_ld_global = 12
+let op_st_global = 13
+let op_atom = 14
+let op_bra = 15
+let op_bra_pred = 16
+let op_bar = 17
+let op_exit = 18
+
+(* One decoded instruction.  A register operand is its row offset
+   [r * lanes] into the register planes, an immediate is [-1] with its
+   word in the [_imm] field (an immediate's high word is 0).  The lane
+   operation is a {!Value} function partially applied to its ISA
+   sub-operation at decode time. *)
+type decoded = {
+  op : int;
+  f1 : int -> int;
+  f2 : int -> int -> int;
+  f3 : int -> int -> int -> int;
+  test : int -> int -> bool;  (* setp *)
+  dbin : I.dbinop;
+  sreg : I.sreg;
+  atomic : I.atomic_op;
+  dst : int;  (* destination register row *)
+  p : int;  (* predicate operand: setp destination, selp/bra_pred source *)
+  a : int;
+  a_imm : int;
+  b : int;
+  b_imm : int;
+  c : int;  (* third operand; atom's swap value *)
+  c_imm : int;
+  guard : int;  (* guard predicate, -1 when unguarded *)
+  sense : bool;  (* lanes where the guard (or bra_pred's predicate) = sense *)
+  taken_if : bool;  (* bra_pred branches where its predicate = taken_if *)
+  base : int;  (* memory operand: address register row and byte offset *)
+  offset : int;
+  width : int;
+  target : int;  (* branch target and reconvergence pcs *)
+  reconv : int;
+  cls : I.cost_class;
+  work : bool;  (* counts the warp active in its stage (not control) *)
+  mad : bool;
+  invalid : string option;  (* traps when issued, after counting *)
+  event : Trace.event;  (* memory instructions replace [mem] *)
+}
+
+type program = decoded array
+
+let reg_id (I.R r) = r
+
+let pred_id (I.P p) = Trace.pred_reg_base + p
+
+(* Trace source registers, in the order the trace has always listed them:
+   each operand is consed on, so the last operand comes first and the
+   guard predicate last. *)
+let srcs_of (i : I.t) =
+  let guard = match i.pred with Some (p, _) -> [ pred_id p ] | None -> [] in
+  let opnd acc = function
+    | I.Reg r -> reg_id r :: acc
+    | I.Imm _ | I.Fimm _ -> acc
+  in
+  let mem (m : I.maddr) = reg_id m.base :: guard in
+  match i.op with
+  | I.Mov (_, a) | I.Sfu (_, _, a) | I.Cvt (_, _, a) -> opnd guard a
+  | I.Mov_sreg _ | I.Bra _ | I.Bar | I.Exit -> guard
+  | I.Iop (_, _, a, b) | I.Fop (_, _, a, b) | I.Dop (_, _, a, b)
+  | I.Setp (_, _, _, a, b) ->
+    opnd (opnd guard a) b
+  | I.Imad (_, a, b, c) | I.Fmad (_, a, b, c) | I.Dfma (_, a, b, c) ->
+    opnd (opnd (opnd guard a) b) c
+  | I.Selp (_, a, b, p) -> pred_id p :: opnd (opnd guard a) b
+  | I.Fmad_smem (_, a, m, c) -> opnd (opnd (mem m) a) c
+  | I.Ld (_, _, _, m) -> mem m
+  | I.St (_, _, m, s) -> opnd (mem m) s
+  | I.Atom (_, _, m, s, swap) ->
+    let srcs = opnd (mem m) s in
+    (match swap with Some sw -> opnd srcs sw | None -> srcs)
+  | I.Bra_pred (p, _, _, _) -> pred_id p :: guard
+
+let decode_instr program (i : I.t) =
+  let cls = I.classify i in
+  let d =
+    {
+      op = op_exit; f1 = Fun.id; f2 = (fun _ y -> y); f3 = (fun _ _ z -> z);
+      test = (fun _ _ -> false); dbin = I.Dadd; sreg = I.Tid_x;
+      atomic = I.Aadd; dst = 0; p = 0; a = -1; a_imm = 0; b = -1; b_imm = 0;
+      c = -1; c_imm = 0; guard = -1; sense = true; taken_if = true; base = 0;
+      offset = 0; width = 4; target = 0; reconv = 0; cls; work = true;
+      mad = false; invalid = None;
+      event =
+        {
+          Trace.cls;
+          dst = Trace.no_reg;
+          srcs = Array.of_list (srcs_of i);
+          mem = Trace.No_mem;
+          bar = false;
+        };
+    }
+  in
+  let d =
+    match i.pred with
+    | Some (I.P g, sense) -> { d with guard = g; sense }
+    | None -> d
+  in
+  let row (I.R r) = r * lanes in
+  let operand = function
+    | I.Reg r -> (row r, 0)
+    | I.Imm v -> (-1, Int32.to_int v)
+    | I.Fimm f -> (-1, Value.of_f32 (Value.round_f32 f))
+  in
+  let dst r d = { d with dst = row r; event = { d.event with dst = reg_id r } } in
+  let a o d = let a, a_imm = operand o in { d with a; a_imm } in
+  let b o d = let b, b_imm = operand o in { d with b; b_imm } in
+  let c o d = let c, c_imm = operand o in { d with c; c_imm } in
+  let mem ~width (m : I.maddr) d =
+    { d with base = row m.base; offset = m.offset; width }
+  in
+  let control d = { d with work = false } in
+  let target l = Gpu_isa.Program.target_pc program l in
+  match i.op with
+  | I.Mov (r, x) -> { (dst r (a x d)) with op = op_mov }
+  | I.Mov_sreg (r, sreg) -> { (dst r d) with op = op_mov_sreg; sreg }
+  | I.Sfu (f, r, x) -> { (dst r (a x d)) with op = op_alu1; f1 = Value.sfu f }
+  | I.Cvt (f, r, x) -> { (dst r (a x d)) with op = op_alu1; f1 = Value.cvt f }
+  | I.Iop (f, r, x, y) ->
+    { (dst r (a x (b y d))) with op = op_alu2; f2 = Value.ibinop f }
+  | I.Fop (f, r, x, y) ->
+    { (dst r (a x (b y d))) with op = op_alu2; f2 = Value.fbinop f }
+  | I.Imad (r, x, y, z) ->
+    { (dst r (a x (b y (c z d)))) with op = op_alu3; f3 = Value.imad }
+  | I.Fmad (r, x, y, z) ->
+    { (dst r (a x (b y (c z d)))) with op = op_alu3; f3 = Value.fmad; mad = true }
+  | I.Dop (f, r, x, y) -> { (dst r (a x (b y d))) with op = op_dop; dbin = f }
+  | I.Dfma (r, x, y, z) -> { (dst r (a x (b y (c z d)))) with op = op_dfma }
+  | I.Setp (cmp, ty, (I.P q as pr), x, y) ->
+    control
+      {
+        (a x (b y d)) with
+        op = op_setp;
+        test = Value.setp cmp ty;
+        p = q;
+        event = { d.event with dst = pred_id pr };
+      }
+  | I.Selp (r, x, y, I.P q) -> { (dst r (a x (b y d))) with op = op_selp; p = q }
+  | I.Fmad_smem (r, x, m, z) ->
+    {
+      (dst r (a x (c z (mem ~width:4 m d)))) with
+      op = op_fmad_smem;
+      f3 = Value.fmad;
+      mad = true;
+    }
+  | I.Ld (I.Shared, width, r, m) ->
+    {
+      (dst r (mem ~width m d)) with
+      op = op_ld_shared;
+      invalid = (if width <> 4 then Some "shared loads must be 32-bit" else None);
+    }
+  | I.St (I.Shared, width, m, x) ->
+    {
+      (a x (mem ~width m d)) with
+      op = op_st_shared;
+      invalid = (if width <> 4 then Some "shared stores must be 32-bit" else None);
+    }
+  | I.Ld (I.Global, width, r, m) -> { (dst r (mem ~width m d)) with op = op_ld_global }
+  | I.St (I.Global, width, m, x) -> { (a x (mem ~width m d)) with op = op_st_global }
+  | I.Atom (atomic, r, m, x, swap) ->
+    let d = dst r (a x (mem ~width:4 m d)) in
+    let d = match swap with Some sw -> c sw d | None -> d in
+    let invalid =
+      match (atomic, swap) with
+      | I.Acas, None -> Some "atom.cas needs a swap operand"
+      | (I.Aadd | I.Amin | I.Amax), Some _ ->
+        Some
+          (Printf.sprintf "atom.%s takes no swap operand"
+             (I.atomic_op_name atomic))
+      | I.Acas, Some _ | (I.Aadd | I.Amin | I.Amax), None -> None
+    in
+    { d with op = op_atom; atomic; invalid }
+  | I.Bra l -> control { d with op = op_bra; target = target l }
+  | I.Bra_pred (I.P q, taken_if, t, r) ->
+    control
+      {
+        d with
+        op = op_bra_pred;
+        p = q;
+        taken_if;
+        target = target t;
+        reconv = target r;
+      }
+  | I.Bar -> control { d with op = op_bar; event = { d.event with bar = true } }
+  | I.Exit -> control d
+
+let decode program =
+  Array.map (decode_instr program) (Gpu_isa.Program.code program)
+
+(* --- Interpreter state ------------------------------------------------------ *)
+
+type t = {
   spec : Gpu_hw.Spec.t;
+  program : program;
   coalesce : Gpu_mem.Coalesce.config;
   collect_trace : bool;
   max_warp_instructions : int; (* runaway-kernel guard *)
   inject_stuck_at : int option; (* fault injection: trap at this issue *)
+  (* per-access scratch, reused by every warp of the run *)
+  addrs : int array;
+  bank : Gpu_mem.Bank.scratch;
+  txns : Gpu_mem.Coalesce.txns;
 }
 
-let config ?(collect_trace = false) ?(max_warp_instructions = 500_000_000)
-    ?inject_stuck_at spec =
+let create ?(collect_trace = false) ?(max_warp_instructions = 500_000_000)
+    ?inject_stuck_at spec program =
   {
     spec;
+    program = decode program;
     coalesce = Gpu_mem.Coalesce.config_of_spec spec;
     collect_trace;
     max_warp_instructions;
     inject_stuck_at;
+    addrs = Array.make lanes 0;
+    bank = Gpu_mem.Bank.scratch ();
+    txns = Gpu_mem.Coalesce.txns ();
   }
 
 type frame = { mutable pc : int; rpc : int; mask : int }
@@ -38,9 +277,9 @@ type frame = { mutable pc : int; rpc : int; mask : int }
 type warp = {
   wid : int;
   base_tid : int; (* tid of lane 0 *)
-  nlanes : int;
-  regs : Value.t array; (* nregs x 32, laid out reg-major *)
-  preds : bool array; (* npreds x 32 *)
+  lo : int array; (* nregs x lanes, register-major: low words *)
+  hi : int array; (* high words (double precision, 64-bit loads) *)
+  preds : int array; (* one lane mask per predicate register *)
   mutable stack : frame list;
   mutable finished : bool;
   mutable at_barrier : bool;
@@ -53,24 +292,18 @@ type block = {
   bid : int;
   grid : int; (* blocks in the launch, for %nctaid *)
   nthreads : int;
-  shared : int32 array; (* shared memory words *)
+  shared : Bytes.t; (* shared memory, little-endian 32-bit words *)
   warps : warp array;
   mutable stage : int;
 }
-
-let num_preds = 4
-
-let lanes = 32
-
-let full_mask n = (1 lsl n) - 1
 
 let make_warp ~wid ~base_tid ~nlanes ~nregs =
   {
     wid;
     base_tid;
-    nlanes;
-    regs = Array.make (max 1 nregs * lanes) Value.zero;
-    preds = Array.make (num_preds * lanes) false;
+    lo = Array.make (max 1 nregs * lanes) 0;
+    hi = Array.make (max 1 nregs * lanes) 0;
+    preds = Array.make num_preds 0;
     stack = [ { pc = 0; rpc = -1; mask = full_mask nlanes } ];
     finished = false;
     at_barrier = false;
@@ -91,113 +324,40 @@ let make_block ~bid ~grid ~nthreads ~smem_bytes ~nregs =
     bid;
     grid;
     nthreads;
-    shared = Array.make (max 1 ((smem_bytes + 3) / 4)) 0l;
+    shared = Bytes.make (4 * max 1 ((smem_bytes + 3) / 4)) '\000';
     warps;
     stage = 0;
   }
 
-(* --- Register access -------------------------------------------------- *)
+let set_param block ~reg v =
+  Array.iter
+    (fun w ->
+      for lane = 0 to lanes - 1 do
+        w.lo.((reg * lanes) + lane) <- Value.word v;
+        w.hi.((reg * lanes) + lane) <- 0
+      done)
+    block.warps
 
-let get_reg w (I.R r) lane = w.regs.((r * lanes) + lane)
-
-let set_reg w (I.R r) lane v = w.regs.((r * lanes) + lane) <- v
-
-let get_pred w (I.P p) lane = w.preds.((p * lanes) + lane)
-
-let set_pred w (I.P p) lane v = w.preds.((p * lanes) + lane) <- v
+let block_trace block =
+  { Trace.block = block.bid; warps = Array.map (fun w -> Trace.finish w.trace) block.warps }
 
 (* --- Shared-memory access --------------------------------------------- *)
 
-let shared_check block addr width =
-  let bytes = 4 * Array.length block.shared in
-  if addr < 0 || addr + width > bytes then
+let shared_check block addr =
+  let bytes = Bytes.length block.shared in
+  if addr < 0 || addr + 4 > bytes then
     stuck "block %d: shared access at %#x outside [0, %#x)" block.bid addr
       bytes;
-  if addr mod width <> 0 then
+  if addr land 3 <> 0 then
     stuck "block %d: misaligned shared access at %#x" block.bid addr
 
-let shared_load32 block addr =
-  shared_check block addr 4;
-  Value.of_i32 block.shared.(addr / 4)
+let shared_load block addr =
+  shared_check block addr;
+  Int32.to_int (Bytes.get_int32_le block.shared addr)
 
-let shared_store32 block addr v =
-  shared_check block addr 4;
-  block.shared.(addr / 4) <- Value.to_i32 v
-
-(* --- ALU semantics ---------------------------------------------------- *)
-
-let sext24 x = Int32.shift_right (Int32.shift_left x 8) 8
-
-let exec_ibinop op a b =
-  let open Int32 in
-  match op with
-  | I.Add -> add a b
-  | I.Sub -> sub a b
-  | I.Mul24 -> mul (sext24 a) (sext24 b)
-  | I.Mul -> mul a b
-  | I.Min -> if compare a b <= 0 then a else b
-  | I.Max -> if compare a b >= 0 then a else b
-  | I.And -> logand a b
-  | I.Or -> logor a b
-  | I.Xor -> logxor a b
-  | I.Shl -> shift_left a (to_int (logand b 31l))
-  | I.Shr -> shift_right a (to_int (logand b 31l))
-
-let exec_fbinop op a b =
-  Value.round_f32
-    (match op with
-    | I.Fadd -> a +. b
-    | I.Fsub -> a -. b
-    | I.Fmul -> a *. b
-    | I.Fmin -> if a <= b then a else b
-    | I.Fmax -> if a >= b then a else b)
-
-let exec_dbinop op a b = match op with I.Dadd -> a +. b | I.Dmul -> a *. b
-
-let exec_sfu op a =
-  Value.round_f32
-    (match op with
-    | I.Rcp -> 1.0 /. a
-    | I.Rsqrt -> 1.0 /. sqrt a
-    | I.Sin -> sin a
-    | I.Cos -> cos a
-    | I.Lg2 -> log a /. log 2.0
-    | I.Ex2 -> Float.pow 2.0 a)
-
-let compare_values cmp ty (a : Value.t) (b : Value.t) =
-  match ty with
-  | I.S32 ->
-    let c = Int32.compare (Value.to_i32 a) (Value.to_i32 b) in
-    (match cmp with
-    | I.Eq -> c = 0
-    | I.Ne -> c <> 0
-    | I.Lt -> c < 0
-    | I.Le -> c <= 0
-    | I.Gt -> c > 0
-    | I.Ge -> c >= 0)
-  | I.F32 ->
-    let x = Value.to_f32 a and y = Value.to_f32 b in
-    (match cmp with
-    | I.Eq -> x = y
-    | I.Ne -> x <> y
-    | I.Lt -> x < y
-    | I.Le -> x <= y
-    | I.Gt -> x > y
-    | I.Ge -> x >= y)
-
-(* --- Trace helpers ---------------------------------------------------- *)
-
-let reg_id (I.R r) = r
-
-let pred_id (I.P p) = Trace.pred_reg_base + p
-
-let operand_srcs acc = function
-  | I.Reg r -> reg_id r :: acc
-  | I.Imm _ | I.Fimm _ -> acc
-
-let record cfg w ~cls ~dst ~srcs ~mem ~bar =
-  if cfg.collect_trace then
-    Trace.add w.trace { Trace.cls; dst; srcs = Array.of_list srcs; mem; bar }
+let shared_store block addr v =
+  shared_check block addr;
+  Bytes.set_int32_le block.shared addr (Int32.of_int v)
 
 (* --- Instruction execution -------------------------------------------- *)
 
@@ -212,419 +372,325 @@ let rec pop_reconverged w =
     pop_reconverged w
   | _ -> ()
 
-let enabled_mask w fr (instr : I.t) =
-  match instr.pred with
-  | None -> fr.mask
-  | Some (p, sense) ->
-    let m = ref 0 in
-    for lane = 0 to lanes - 1 do
-      if fr.mask land (1 lsl lane) <> 0 && get_pred w p lane = sense then
-        m := !m lor (1 lsl lane)
+let[@inline] enabled em lane = em land (1 lsl lane) <> 0
+
+(* An operand's low word: register row [r], or the immediate. *)
+let[@inline] word_of w r imm lane = if r >= 0 then w.lo.(r + lane) else imm
+
+let[@inline] high_of w r lane = if r >= 0 then w.hi.(r + lane) else 0
+
+let[@inline] set_word w dst lane v =
+  w.lo.(dst + lane) <- v;
+  w.hi.(dst + lane) <- 0
+
+(* Record the static event of an instruction without a memory access;
+   the memory accesses record their own, carrying the transactions. *)
+let record m w (d : decoded) = if m.collect_trace then Trace.add w.trace d.event
+
+let record_mem w (d : decoded) mem =
+  Trace.add w.trace { d.event with mem }
+
+(* A lane's byte address for a memory access, also kept in [m.addrs] for
+   the bank and coalescing analysis.  A base register whose word is
+   negative (an unsigned value of 2^31 or more) is no address at all: that
+   traps here, located, rather than as a bad index further down. *)
+let bad_address block w (d : decoded) ~pc v =
+  stuck
+    "block %d warp %d: pc %d addresses %#x through r%d, outside the 31-bit \
+     address space"
+    block.bid w.wid pc (v land 0xFFFF_FFFF) (d.base / lanes)
+
+let[@inline] address m block w (d : decoded) ~pc lane =
+  let v = w.lo.(d.base + lane) in
+  if v < 0 then bad_address block w d ~pc v;
+  let addr = v + d.offset in
+  m.addrs.(lane) <- addr;
+  addr
+
+let count_smem m ~stats block w d ~pc em =
+  let spec = m.spec in
+  let group = spec.Gpu_hw.Spec.coalesce_threads in
+  let txns =
+    Gpu_mem.Bank.warp_transactions_masked m.bank ~width:d.width
+      ~banks:spec.Gpu_hw.Spec.smem_banks ~group m.addrs ~mask:em
+  in
+  (* shared accesses are aligned 4-byte words (checked per lane), so the
+     conflict-free count is one transaction per active group *)
+  let ideal = Gpu_mem.Bank.active_groups ~group ~lanes ~mask:em in
+  Stats.count_smem stats ~stage:block.stage ~pc ~txns ~ideal;
+  if m.collect_trace then record_mem w d (Trace.Smem txns)
+
+let count_atomic m ~stats block w d ~pc em =
+  let spec = m.spec in
+  let group = spec.Gpu_hw.Spec.coalesce_threads in
+  let txns =
+    Gpu_mem.Bank.warp_atomic_transactions_masked m.bank ~width:4
+      ~banks:spec.Gpu_hw.Spec.smem_banks ~group m.addrs ~mask:em
+  in
+  let ideal = Gpu_mem.Bank.active_groups ~group ~lanes ~mask:em in
+  Stats.count_atomic stats ~stage:block.stage ~pc ~txns ~ideal;
+  if m.collect_trace then record_mem w d (Trace.Smem_atomic txns)
+
+let count_gmem m ~stats block w d ~pc em =
+  let t = m.txns in
+  Gpu_mem.Coalesce.warp_transactions_masked m.coalesce ~width:d.width t
+    m.addrs ~mask:em;
+  Stats.count_gmem stats ~stage:block.stage ~pc
+    ~requested:(Gpu_mem.Lanes.popcount em * d.width)
+    t.sizes t.count;
+  if m.collect_trace then begin
+    let txns = Array.make t.count (0, 0) in
+    for i = 0 to t.count - 1 do
+      txns.(i) <- (t.bases.(i), t.sizes.(i))
     done;
-    !m
+    record_mem w d
+      (if d.op = op_ld_global then Trace.Gmem_load txns
+       else Trace.Gmem_store txns)
+  end
 
-(* Per-lane addresses of a memory access, [None] for disabled lanes. *)
-let lane_addresses w ~mask (m : I.maddr) =
-  Array.init lanes (fun lane ->
-      if mask land (1 lsl lane) <> 0 then
-        Some (Value.to_address (get_reg w m.base lane) + m.offset)
-      else None)
-
-(* Execute one warp-instruction.  [stats] may be [None] when re-running for
-   outputs only. *)
-let step cfg ~program ~gmem ~(stats : Stats.t option) block w =
+(* Execute one warp-instruction of the warp's current stack top. *)
+let step m ~gmem ~stats block w =
   pop_reconverged w;
   let fr = match w.stack with [] -> stuck "empty SIMT stack" | f :: _ -> f in
-  let code = Gpu_isa.Program.code program in
-  if fr.pc < 0 || fr.pc >= Array.length code then
-    stuck "block %d warp %d: pc %d outside program" block.bid w.wid fr.pc;
-  let instr = code.(fr.pc) in
-  (* Captured before [advance ()] so the memory-access closures below
-     charge their statistics to the issuing pc, not its successor. *)
   let pc = fr.pc in
+  if pc < 0 || pc >= Array.length m.program then
+    stuck "block %d warp %d: pc %d outside program" block.bid w.wid pc;
+  let d = m.program.(pc) in
   w.issued <- w.issued + 1;
-  if w.issued > cfg.max_warp_instructions then
+  if w.issued > m.max_warp_instructions then
     stuck "block %d warp %d: exceeded %d instructions (runaway kernel?)"
-      block.bid w.wid cfg.max_warp_instructions;
-  (match cfg.inject_stuck_at with
+      block.bid w.wid m.max_warp_instructions;
+  (match m.inject_stuck_at with
   | Some n when w.issued = n ->
     stuck "block %d warp %d: injected trap at issue %d (pc %d)" block.bid
-      w.wid n fr.pc
+      w.wid n pc
   | Some _ | None -> ());
-  let cls = I.classify instr in
-  let em = enabled_mask w fr instr in
+  let em =
+    if d.guard < 0 then fr.mask
+    else if d.sense then fr.mask land w.preds.(d.guard)
+    else fr.mask land lnot w.preds.(d.guard)
+  in
   (* A warp is "active" in a stage once it issues real work there with at
      least one enabled lane; the control skeleton every warp runs to skip a
      guarded region (setp, branches, barriers) does not count, so the
      per-step warp-level parallelism of workloads like cyclic reduction is
      what the paper reports (8, 4, 2, 1 warps). *)
-  let work_instruction =
-    match instr.op with
-    | I.Setp _ | I.Bra _ | I.Bra_pred _ | I.Bar | I.Exit -> false
-    | I.Mov _ | I.Mov_sreg _ | I.Iop _ | I.Imad _ | I.Fop _ | I.Fmad _
-    | I.Fmad_smem _ | I.Dop _ | I.Dfma _ | I.Sfu _ | I.Cvt _ | I.Selp _
-    | I.Ld _ | I.St _ | I.Atom _ ->
-      true
-  in
-  (match stats with
-  | Some st ->
-    Stats.count_issue st ~stage:block.stage ~pc cls;
-    if work_instruction && em <> 0 && block.stage > w.counted_stage then begin
-      w.counted_stage <- block.stage;
-      Stats.count_active_warp st ~stage:block.stage
-    end;
-    (match instr.op with
-    | I.Fmad _ | I.Fmad_smem _ -> Stats.count_mad st ~stage:block.stage
-    | _ -> ())
-  | None -> ());
-  let pred_srcs =
-    match instr.pred with Some (p, _) -> [ pred_id p ] | None -> []
-  in
-  let each_lane f =
-    for lane = 0 to lanes - 1 do
-      if em land (1 lsl lane) <> 0 then f lane
-    done
-  in
-  let operand o lane =
-    match o with
-    | I.Reg r -> get_reg w r lane
-    | I.Imm v -> Value.of_i32 v
-    | I.Fimm f -> Value.of_f32 (Value.round_f32 f)
-  in
-  let alu1 d a compute =
-    each_lane (fun lane -> set_reg w d lane (compute (operand a lane)));
-    record cfg w ~cls ~dst:(reg_id d)
-      ~srcs:(operand_srcs pred_srcs a)
-      ~mem:Trace.No_mem ~bar:false
-  in
-  let alu2 d a b compute =
-    each_lane (fun lane ->
-        set_reg w d lane (compute (operand a lane) (operand b lane)));
-    record cfg w ~cls ~dst:(reg_id d)
-      ~srcs:(operand_srcs (operand_srcs pred_srcs a) b)
-      ~mem:Trace.No_mem ~bar:false
-  in
-  let alu3 d a b c compute =
-    each_lane (fun lane ->
-        set_reg w d lane
-          (compute (operand a lane) (operand b lane) (operand c lane)));
-    record cfg w ~cls ~dst:(reg_id d)
-      ~srcs:(operand_srcs (operand_srcs (operand_srcs pred_srcs a) b) c)
-      ~mem:Trace.No_mem ~bar:false
-  in
-  let advance () = fr.pc <- fr.pc + 1 in
-  let count_smem_access ~width addresses srcs dst =
-    let spec = cfg.spec in
-    let txns =
-      Gpu_mem.Bank.warp_transactions ~width
-        ~banks:spec.Gpu_hw.Spec.smem_banks
-        ~group:spec.Gpu_hw.Spec.coalesce_threads addresses
-    in
-    let ideal =
-      Gpu_mem.Bank.ideal_warp_transactions ~width
-        ~group:spec.Gpu_hw.Spec.coalesce_threads addresses
-    in
-    (match stats with
-    | Some st -> Stats.count_smem st ~stage:block.stage ~pc ~txns ~ideal
-    | None -> ());
-    record cfg w ~cls ~dst ~srcs ~mem:(Trace.Smem txns) ~bar:false
-  in
-  let count_atomic_access ~width addresses srcs dst =
-    let spec = cfg.spec in
-    let txns =
-      Gpu_mem.Bank.warp_atomic_transactions ~width
-        ~banks:spec.Gpu_hw.Spec.smem_banks
-        ~group:spec.Gpu_hw.Spec.coalesce_threads addresses
-    in
-    let ideal =
-      Gpu_mem.Bank.ideal_warp_atomic_transactions
-        ~group:spec.Gpu_hw.Spec.coalesce_threads addresses
-    in
-    (match stats with
-    | Some st -> Stats.count_atomic st ~stage:block.stage ~pc ~txns ~ideal
-    | None -> ());
-    record cfg w ~cls ~dst ~srcs ~mem:(Trace.Smem_atomic txns) ~bar:false
-  in
-  let count_gmem_access ~width ~kind addresses srcs dst =
-    let txns =
-      Gpu_mem.Coalesce.warp_transactions cfg.coalesce ~width addresses
-    in
-    let active =
-      Array.fold_left
-        (fun acc a -> match a with Some _ -> acc + 1 | None -> acc)
-        0 addresses
-    in
-    (match stats with
-    | Some st ->
-      Stats.count_gmem st ~stage:block.stage ~pc ~txns
-        ~requested:(active * width)
-    | None -> ());
-    let arr =
-      Array.of_list
-        (List.map (fun (t : Gpu_mem.Coalesce.txn) -> (t.base, t.size)) txns)
-    in
-    let mem =
-      match kind with
-      | `Load -> Trace.Gmem_load arr
-      | `Store -> Trace.Gmem_store arr
-    in
-    record cfg w ~cls ~dst ~srcs ~mem ~bar:false
-  in
-  match instr.op with
-  | I.Mov (d, s) -> alu1 d s (fun a -> a); advance (); Continue
-  | I.Mov_sreg (d, s) ->
-    each_lane (fun lane ->
-        let v =
-          match s with
-          | I.Tid_x -> w.base_tid + lane
-          | I.Ntid_x -> block.nthreads
-          | I.Ctaid_x -> block.bid
-          | I.Nctaid_x -> block.grid
-          | I.Laneid -> lane
-          | I.Warpid -> w.wid
-        in
-        set_reg w d lane (Value.of_int v));
-    record cfg w ~cls ~dst:(reg_id d) ~srcs:pred_srcs ~mem:Trace.No_mem
-      ~bar:false;
-    advance ();
+  let stage = block.stage in
+  Stats.count_issue stats ~stage ~pc d.cls;
+  if d.work && em <> 0 && stage > w.counted_stage then begin
+    w.counted_stage <- stage;
+    Stats.count_active_warp stats ~stage
+  end;
+  if d.mad then Stats.count_mad stats ~stage;
+  (match d.invalid with Some msg -> raise (Stuck msg) | None -> ());
+  let op = d.op in
+  if op <= op_selp then begin
+    (* register-to-register: every enabled lane, then the static event *)
+    let dst = d.dst and a = d.a and ai = d.a_imm and b = d.b
+    and bi = d.b_imm and c = d.c and ci = d.c_imm in
+    if op = op_setp then begin
+      let test = d.test and bits = ref w.preds.(d.p) in
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          if test (word_of w a ai lane) (word_of w b bi lane) then
+            bits := !bits lor (1 lsl lane)
+          else bits := !bits land lnot (1 lsl lane)
+      done;
+      w.preds.(d.p) <- !bits
+    end
+    else if op = op_alu2 then begin
+      let f = d.f2 in
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          set_word w dst lane (f (word_of w a ai lane) (word_of w b bi lane))
+      done
+    end
+    else if op = op_alu3 then begin
+      let f = d.f3 in
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          set_word w dst lane
+            (f (word_of w a ai lane) (word_of w b bi lane) (word_of w c ci lane))
+      done
+    end
+    else
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          if op = op_mov then begin
+            let lo = word_of w a ai lane and hi = high_of w a lane in
+            w.lo.(dst + lane) <- lo;
+            w.hi.(dst + lane) <- hi
+          end
+          else if op = op_alu1 then set_word w dst lane (d.f1 (word_of w a ai lane))
+          else if op = op_mov_sreg then
+            set_word w dst lane
+              (Value.word
+                 (match d.sreg with
+                 | I.Tid_x -> w.base_tid + lane
+                 | I.Ntid_x -> block.nthreads
+                 | I.Ctaid_x -> block.bid
+                 | I.Nctaid_x -> block.grid
+                 | I.Laneid -> lane
+                 | I.Warpid -> w.wid))
+          else if op = op_selp then begin
+            let take_a = w.preds.(d.p) land (1 lsl lane) <> 0 in
+            w.lo.(dst + lane) <-
+              (if take_a then word_of w a ai lane else word_of w b bi lane);
+            w.hi.(dst + lane) <-
+              (if take_a then high_of w a lane else high_of w b lane)
+          end
+          else begin
+            (* double precision: both words of every operand *)
+            let alo = word_of w a ai lane and ahi = high_of w a lane
+            and blo = word_of w b bi lane and bhi = high_of w b lane in
+            let result ~high =
+              if op = op_dop then Value.dbinop d.dbin ~high alo ahi blo bhi
+              else
+                Value.dfma ~high alo ahi blo bhi (word_of w c ci lane)
+                  (high_of w c lane)
+            in
+            let lo = result ~high:false and hi = result ~high:true in
+            w.lo.(dst + lane) <- lo;
+            w.hi.(dst + lane) <- hi
+          end
+      done;
+    record m w d;
+    fr.pc <- pc + 1;
     Continue
-  | I.Iop (op, d, a, b) ->
-    alu2 d a b (fun x y ->
-        Value.of_i32 (exec_ibinop op (Value.to_i32 x) (Value.to_i32 y)));
-    advance ();
-    Continue
-  | I.Imad (d, a, b, c) ->
-    alu3 d a b c (fun x y z ->
-        Value.of_i32
-          (Int32.add
-             (Int32.mul (sext24 (Value.to_i32 x)) (sext24 (Value.to_i32 y)))
-             (Value.to_i32 z)));
-    advance ();
-    Continue
-  | I.Fop (op, d, a, b) ->
-    alu2 d a b (fun x y ->
-        Value.of_f32 (exec_fbinop op (Value.to_f32 x) (Value.to_f32 y)));
-    advance ();
-    Continue
-  | I.Fmad (d, a, b, c) ->
-    alu3 d a b c (fun x y z ->
-        Value.of_f32
-          (Value.round_f32
-             ((Value.to_f32 x *. Value.to_f32 y) +. Value.to_f32 z)));
-    advance ();
-    Continue
-  | I.Dop (op, d, a, b) ->
-    alu2 d a b (fun x y ->
-        Value.of_f64 (exec_dbinop op (Value.to_f64 x) (Value.to_f64 y)));
-    advance ();
-    Continue
-  | I.Dfma (d, a, b, c) ->
-    alu3 d a b c (fun x y z ->
-        Value.of_f64
-          (Float.fma (Value.to_f64 x) (Value.to_f64 y) (Value.to_f64 z)));
-    advance ();
-    Continue
-  | I.Sfu (op, d, a) ->
-    alu1 d a (fun x -> Value.of_f32 (exec_sfu op (Value.to_f32 x)));
-    advance ();
-    Continue
-  | I.Cvt (op, d, a) ->
-    alu1 d a (fun x ->
-        match op with
-        | I.I2f ->
-          Value.of_f32 (Value.round_f32 (Int32.to_float (Value.to_i32 x)))
-        | I.F2i -> Value.of_i32 (Int32.of_float (Value.to_f32 x))
-        | I.F2i_rni ->
-          Value.of_i32 (Int32.of_float (Float.round (Value.to_f32 x))));
-    advance ();
-    Continue
-  | I.Setp (cmp, ty, p, a, b) ->
-    each_lane (fun lane ->
-        set_pred w p lane
-          (compare_values cmp ty (operand a lane) (operand b lane)));
-    record cfg w ~cls ~dst:(pred_id p)
-      ~srcs:(operand_srcs (operand_srcs pred_srcs a) b)
-      ~mem:Trace.No_mem ~bar:false;
-    advance ();
-    Continue
-  | I.Selp (d, a, b, p) ->
-    each_lane (fun lane ->
-        set_reg w d lane
-          (if get_pred w p lane then operand a lane else operand b lane));
-    record cfg w ~cls ~dst:(reg_id d)
-      ~srcs:(pred_id p :: operand_srcs (operand_srcs pred_srcs a) b)
-      ~mem:Trace.No_mem ~bar:false;
-    advance ();
-    Continue
-  | I.Fmad_smem (d, a, m, c) ->
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some ad ->
-          let b = Value.to_f32 (shared_load32 block ad) in
-          set_reg w d lane
-            (Value.of_f32
-               (Value.round_f32
-                  ((Value.to_f32 (operand a lane) *. b)
-                  +. Value.to_f32 (operand c lane))));
-        | None -> ());
-    count_smem_access ~width:4 addresses
-      (operand_srcs (operand_srcs (reg_id m.base :: pred_srcs) a) c)
-      (reg_id d);
-    advance ();
-    Continue
-  | I.Ld (I.Shared, width, d, m) ->
-    if width <> 4 then stuck "shared loads must be 32-bit";
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a -> set_reg w d lane (shared_load32 block a)
-        | None -> ());
-    count_smem_access ~width addresses (reg_id m.base :: pred_srcs)
-      (reg_id d);
-    advance ();
-    Continue
-  | I.St (I.Shared, width, m, s) ->
-    if width <> 4 then stuck "shared stores must be 32-bit";
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a -> shared_store32 block a (operand s lane)
-        | None -> ());
-    count_smem_access ~width addresses
-      (operand_srcs (reg_id m.base :: pred_srcs) s)
-      Trace.no_reg;
-    advance ();
-    Continue
-  | I.Ld (I.Global, width, d, m) ->
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a ->
-          set_reg w d lane
-            (if width = 8 then Memory.load64 gmem a
-             else Value.of_i32 (Memory.load32 gmem a))
-        | None -> ());
-    count_gmem_access ~width ~kind:`Load addresses
-      (reg_id m.base :: pred_srcs)
-      (reg_id d);
-    advance ();
-    Continue
-  | I.St (I.Global, width, m, s) ->
-    let addresses = lane_addresses w ~mask:em m in
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a ->
-          if width = 8 then Memory.store64 gmem a (operand s lane)
-          else Memory.store32 gmem a (Value.to_i32 (operand s lane))
-        | None -> ());
-    count_gmem_access ~width ~kind:`Store addresses
-      (operand_srcs (reg_id m.base :: pred_srcs) s)
-      Trace.no_reg;
-    advance ();
-    Continue
-  | I.Atom (op, d, m, s, swap) ->
-    (match (op, swap) with
-    | I.Acas, None -> stuck "atom.cas needs a swap operand"
-    | (I.Aadd | I.Amin | I.Amax), Some _ ->
-      stuck "atom.%s takes no swap operand" (I.atomic_op_name op)
-    | I.Acas, Some _ | (I.Aadd | I.Amin | I.Amax), None -> ());
-    let addresses = lane_addresses w ~mask:em m in
-    (* Lanes perform their read-modify-writes in lane order, each one
-       observing the previous lane's write — the serialization the
-       transaction count below charges for. *)
-    each_lane (fun lane ->
-        match addresses.(lane) with
-        | Some a ->
-          let old = shared_load32 block a in
-          set_reg w d lane old;
-          let src = Value.to_i32 (operand s lane) in
-          let oldv = Value.to_i32 old in
+  end
+  else if op <= op_atom then begin
+    (* memory: each enabled lane computes its address and accesses memory
+       in lane order, then the access is analyzed and counted *)
+    let dst = d.dst and a = d.a and ai = d.a_imm in
+    if op = op_ld_shared then begin
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          set_word w dst lane (shared_load block (address m block w d ~pc lane))
+      done;
+      count_smem m ~stats block w d ~pc em
+    end
+    else if op = op_st_shared then begin
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then
+          shared_store block (address m block w d ~pc lane) (word_of w a ai lane)
+      done;
+      count_smem m ~stats block w d ~pc em
+    end
+    else if op = op_fmad_smem then begin
+      let f = d.f3 and c = d.c and ci = d.c_imm in
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then begin
+          let b = shared_load block (address m block w d ~pc lane) in
+          set_word w dst lane (f (word_of w a ai lane) b (word_of w c ci lane))
+        end
+      done;
+      count_smem m ~stats block w d ~pc em
+    end
+    else if op = op_ld_global then begin
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then begin
+          let addr = address m block w d ~pc lane in
+          if d.width = 8 then begin
+            Memory.check gmem addr 8;
+            w.lo.(dst + lane) <- Memory.word gmem addr;
+            w.hi.(dst + lane) <- Memory.word gmem (addr + 4)
+          end
+          else set_word w dst lane (Memory.load32 gmem addr)
+        end
+      done;
+      count_gmem m ~stats block w d ~pc em
+    end
+    else if op = op_st_global then begin
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then begin
+          let addr = address m block w d ~pc lane in
+          if d.width = 8 then begin
+            Memory.check gmem addr 8;
+            Memory.set_word gmem addr (word_of w a ai lane);
+            Memory.set_word gmem (addr + 4) (high_of w a lane)
+          end
+          else Memory.store32 gmem addr (word_of w a ai lane)
+        end
+      done;
+      count_gmem m ~stats block w d ~pc em
+    end
+    else begin
+      (* op_atom: lanes perform their read-modify-writes in lane order,
+         each one observing the previous lane's write — the serialization
+         the transaction count charges for.  The sources are read after
+         the destination is written. *)
+      for lane = 0 to lanes - 1 do
+        if enabled em lane then begin
+          let addr = address m block w d ~pc lane in
+          let old = shared_load block addr in
+          set_word w dst lane old;
+          let src = word_of w a ai lane in
           let nv =
-            match op with
-            | I.Aadd -> Int32.add oldv src
-            | I.Amin -> if Int32.compare oldv src <= 0 then oldv else src
-            | I.Amax -> if Int32.compare oldv src >= 0 then oldv else src
-            | I.Acas ->
-              let sw =
-                match swap with Some sw -> sw | None -> assert false
-              in
-              if Int32.equal oldv src then Value.to_i32 (operand sw lane)
-              else oldv
+            match d.atomic with
+            | I.Aadd -> Value.word (old + src)
+            | I.Amin -> if old <= src then old else src
+            | I.Amax -> if old >= src then old else src
+            | I.Acas -> if old = src then word_of w d.c d.c_imm lane else old
           in
-          shared_store32 block a (Value.of_i32 nv)
-        | None -> ());
-    let srcs =
-      let base = operand_srcs (reg_id m.base :: pred_srcs) s in
-      match swap with Some sw -> operand_srcs base sw | None -> base
-    in
-    count_atomic_access ~width:4 addresses srcs (reg_id d);
-    advance ();
+          shared_store block addr nv
+        end
+      done;
+      count_atomic m ~stats block w d ~pc em
+    end;
+    fr.pc <- pc + 1;
     Continue
-  | I.Bra l ->
-    record cfg w ~cls ~dst:Trace.no_reg ~srcs:pred_srcs ~mem:Trace.No_mem
-      ~bar:false;
-    fr.pc <- Gpu_isa.Program.target_pc program l;
-    Continue
-  | I.Bra_pred (p, sense, target_label, reconv_label) ->
-    record cfg w ~cls ~dst:Trace.no_reg ~srcs:(pred_id p :: pred_srcs)
-      ~mem:Trace.No_mem ~bar:false;
-    let taken = ref 0 in
-    each_lane (fun lane ->
-        if get_pred w p lane = sense then taken := !taken lor (1 lsl lane));
-    let target = Gpu_isa.Program.target_pc program target_label in
-    if !taken = 0 then advance ()
-    else if !taken = em && em = fr.mask then fr.pc <- target
+  end
+  else if op = op_bra_pred then begin
+    record m w d;
+    let bits = w.preds.(d.p) in
+    let taken = em land (if d.taken_if then bits else lnot bits) in
+    if taken = 0 then fr.pc <- pc + 1
+    else if taken = em && em = fr.mask then fr.pc <- d.target
     else begin
       (* Divergence: the current frame becomes the reconvergence
          continuation; the two sides are pushed above it. *)
-      let reconv = Gpu_isa.Program.target_pc program reconv_label in
-      let fall_mask = fr.mask land lnot !taken in
-      let next_pc = fr.pc + 1 in
-      fr.pc <- reconv;
-      let sides =
-        List.filter
-          (fun f -> f.mask <> 0)
-          [
-            { pc = next_pc; rpc = reconv; mask = fall_mask };
-            { pc = target; rpc = reconv; mask = !taken };
-          ]
-      in
-      w.stack <- sides @ w.stack
+      let fall_mask = fr.mask land lnot taken in
+      fr.pc <- d.reconv;
+      let taken_side = { pc = d.target; rpc = d.reconv; mask = taken } in
+      w.stack <-
+        (if fall_mask = 0 then taken_side :: w.stack
+         else { pc = pc + 1; rpc = d.reconv; mask = fall_mask } :: taken_side :: w.stack)
     end;
     Continue
-  | I.Bar ->
-    (match stats with
-    | Some st -> Stats.count_barrier st ~stage:block.stage
-    | None -> ());
-    record cfg w ~cls ~dst:Trace.no_reg ~srcs:pred_srcs ~mem:Trace.No_mem
-      ~bar:true;
-    advance ();
+  end
+  else if op = op_bra then begin
+    record m w d;
+    fr.pc <- d.target;
+    Continue
+  end
+  else if op = op_bar then begin
+    Stats.count_barrier stats ~stage;
+    record m w d;
+    fr.pc <- pc + 1;
     w.at_barrier <- true;
     Hit_barrier
-  | I.Exit ->
-    record cfg w ~cls ~dst:Trace.no_reg ~srcs:pred_srcs ~mem:Trace.No_mem
-      ~bar:false;
+  end
+  else begin
+    record m w d;
     w.finished <- true;
     Exited
+  end
 
 (* Run all warps of a block to completion, respecting barriers. *)
-let run_block cfg ~program ~gmem ~stats block =
-  let unfinished () =
-    Array.exists (fun w -> not w.finished) block.warps
-  in
+let run_block m ~gmem ~stats block =
+  let unfinished () = Array.exists (fun w -> not w.finished) block.warps in
   while unfinished () do
     (* Run every unfinished warp up to its next barrier (or exit). *)
     Array.iter
       (fun w ->
         if not w.finished then begin
           w.at_barrier <- false;
-          let rec go () =
-            match step cfg ~program ~gmem ~stats block w with
-            | Continue -> go ()
-            | Hit_barrier | Exited -> ()
-          in
-          go ()
+          let running = ref true in
+          while !running do
+            match step m ~gmem ~stats block w with
+            | Continue -> ()
+            | Hit_barrier | Exited -> running := false
+          done
         end)
       block.warps;
     (* All warps are now at a barrier or done; release the barrier and

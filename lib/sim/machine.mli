@@ -2,75 +2,43 @@
     analog): warps of 32 lanes execute the native ISA in lockstep, branch
     divergence uses a reconvergence stack driven by the post-dominator
     labels in conditional branches, and a block's warps run round-robin
-    between barriers.  Most users want {!Sim.run} instead. *)
+    between barriers.  The program is decoded once per {!create}, and a
+    warp-instruction allocates nothing but the trace event it may record.
+    Most users want {!Sim.run} instead. *)
 
 exception Stuck of string
-(** Raised on invalid execution: bad pc, shared-memory fault, runaway
-    kernel, malformed SIMT stack. *)
+(** Raised on invalid execution: bad pc, shared-memory fault, a base
+    register that holds no address, runaway kernel, malformed SIMT
+    stack. *)
 
-type config
+(** One run's interpreter: the device, the decoded program, the options
+    and reusable per-access scratch.  Not shareable across domains. *)
+type t
 
-(** [config spec] builds an execution configuration; [collect_trace]
-    records timing events, [max_warp_instructions] bounds runaway kernels,
-    and [inject_stuck_at n] forces a deterministic {!Stuck} trap at a
-    warp's [n]-th issued instruction (fault injection). *)
-val config :
+(** [create spec program] decodes [program] for execution on [spec];
+    [collect_trace] records timing events, [max_warp_instructions] bounds
+    runaway kernels, and [inject_stuck_at n] forces a deterministic
+    {!Stuck} trap at a warp's [n]-th issued instruction (fault
+    injection).  Raises {!Gpu_isa.Program.Unknown_label} on a branch to
+    an undefined label. *)
+val create :
   ?collect_trace:bool -> ?max_warp_instructions:int ->
-  ?inject_stuck_at:int -> Gpu_hw.Spec.t ->
-  config
+  ?inject_stuck_at:int -> Gpu_hw.Spec.t -> Gpu_isa.Program.t -> t
 
-type warp = {
-  wid : int;
-  base_tid : int;
-  nlanes : int;
-  regs : Value.t array;  (** nregs x 32, register-major *)
-  preds : bool array;
-  mutable stack : frame list;
-  mutable finished : bool;
-  mutable at_barrier : bool;
-  mutable issued : int;
-  mutable counted_stage : int;
-  trace : Trace.builder;
-}
-
-and frame = { mutable pc : int; rpc : int; mask : int }
-
-type block = {
-  bid : int;
-  grid : int;
-  nthreads : int;
-  shared : int32 array;
-  warps : warp array;
-  mutable stage : int;
-}
+(** A thread block's architectural state. *)
+type block
 
 val lanes : int
-val num_preds : int
+
 val make_block :
   bid:int -> grid:int -> nthreads:int -> smem_bytes:int -> nregs:int -> block
 
-val get_reg : warp -> Gpu_isa.Instr.reg -> int -> Value.t
-val set_reg : warp -> Gpu_isa.Instr.reg -> int -> Value.t -> unit
-val get_pred : warp -> Gpu_isa.Instr.pred -> int -> bool
-val set_pred : warp -> Gpu_isa.Instr.pred -> int -> bool -> unit
-
-type outcome = Continue | Hit_barrier | Exited
-
-(** Execute one warp-instruction of the warp's current stack top. *)
-val step :
-  config ->
-  program:Gpu_isa.Program.t ->
-  gmem:Memory.t ->
-  stats:Stats.t option ->
-  block ->
-  warp ->
-  outcome
+(** [set_param block ~reg v] writes [v] into register [reg] of every lane
+    of every warp (the driver's parameter convention). *)
+val set_param : block -> reg:int -> int -> unit
 
 (** Run all warps of a block to completion, respecting barriers. *)
-val run_block :
-  config ->
-  program:Gpu_isa.Program.t ->
-  gmem:Memory.t ->
-  stats:Stats.t option ->
-  block ->
-  unit
+val run_block : t -> gmem:Memory.t -> stats:Stats.t -> block -> unit
+
+(** The block's recorded trace (empty warps unless [collect_trace]). *)
+val block_trace : block -> Trace.block_trace

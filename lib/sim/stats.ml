@@ -70,20 +70,15 @@ let empty_stage () =
     site_gmem_bytes = [||];
   }
 
-(* Add [v] at index [pc], growing the dense array geometrically so a long
+(* A site array long enough to index [pc], grown geometrically so a long
    program doesn't reallocate per instruction. *)
-let site_add arr pc v =
-  let arr =
-    if pc < Array.length arr then arr
-    else begin
-      let n = max (pc + 1) (max 16 (2 * Array.length arr)) in
-      let a = Array.make n 0 in
-      Array.blit arr 0 a 0 (Array.length arr);
-      a
-    end
-  in
-  arr.(pc) <- arr.(pc) + v;
-  arr
+let grow_sites arr pc =
+  let n = max (pc + 1) (max 16 (2 * Array.length arr)) in
+  let a = Array.make n 0 in
+  Array.blit arr 0 a 0 (Array.length arr);
+  a
+
+let no_pc = -1
 
 type t = { mutable stages : stage array }
 
@@ -103,60 +98,79 @@ let stage t i =
   end;
   t.stages.(i)
 
-let count_issue t ~stage:i ?pc cls =
+(* Each counter below charges [pc]'s site when [pc >= 0]; the array field
+   is only reassigned when it grows. *)
+let count_issue t ~stage:i ~pc cls =
   let s = stage t i in
   let k = class_index cls in
   s.issued.(k) <- s.issued.(k) + 1;
-  match pc with
-  | Some pc -> s.site_issued <- site_add s.site_issued pc 1
-  | None -> ()
+  if pc >= 0 then begin
+    if pc >= Array.length s.site_issued then
+      s.site_issued <- grow_sites s.site_issued pc;
+    s.site_issued.(pc) <- s.site_issued.(pc) + 1
+  end
 
 let count_mad t ~stage:i =
   let s = stage t i in
   s.mads <- s.mads + 1
 
-let count_smem ?pc t ~stage:i ~txns ~ideal =
+let count_smem t ~stage:i ~pc ~txns ~ideal =
   let s = stage t i in
   s.smem_accesses <- s.smem_accesses + 1;
   s.smem_txns <- s.smem_txns + txns;
   s.smem_ideal_txns <- s.smem_ideal_txns + ideal;
-  match pc with
-  | Some pc -> s.site_smem_txns <- site_add s.site_smem_txns pc txns
-  | None -> ()
+  if pc >= 0 then begin
+    if pc >= Array.length s.site_smem_txns then
+      s.site_smem_txns <- grow_sites s.site_smem_txns pc;
+    s.site_smem_txns.(pc) <- s.site_smem_txns.(pc) + txns
+  end
 
-let count_atomic ?pc t ~stage:i ~txns ~ideal =
+let count_atomic t ~stage:i ~pc ~txns ~ideal =
   let s = stage t i in
   s.atomic_accesses <- s.atomic_accesses + 1;
   s.atomic_txns <- s.atomic_txns + txns;
   s.atomic_ideal_txns <- s.atomic_ideal_txns + ideal;
-  match pc with
-  | Some pc -> s.site_atomic_txns <- site_add s.site_atomic_txns pc txns
-  | None -> ()
+  if pc >= 0 then begin
+    if pc >= Array.length s.site_atomic_txns then
+      s.site_atomic_txns <- grow_sites s.site_atomic_txns pc;
+    s.site_atomic_txns.(pc) <- s.site_atomic_txns.(pc) + txns
+  end
 
-let count_gmem ?pc t ~stage:i ~txns ~requested =
+(* [gmem_txns] keeps the most recently counted size first.  Counting one
+   transaction at a time would move its size to the front each time; the
+   same final list comes from moving each distinct size once, at its last
+   occurrence in [sizes], with all of its occurrences added — one list
+   update per distinct size per access instead of per transaction. *)
+let count_gmem t ~stage:i ~pc ~requested sizes n =
   let s = stage t i in
   s.gmem_accesses <- s.gmem_accesses + 1;
-  (match pc with
-  | Some pc ->
-    let moved =
-      List.fold_left
-        (fun acc (tx : Gpu_mem.Coalesce.txn) -> acc + tx.size)
-        0 txns
-    in
-    s.site_gmem_bytes <- site_add s.site_gmem_bytes pc moved
-  | None -> ());
-  List.iter
-    (fun (tx : Gpu_mem.Coalesce.txn) ->
-      let count =
-        match List.assoc_opt tx.size s.gmem_txns with
-        | Some c -> c
-        | None -> 0
+  let moved = ref 0 in
+  for j = 0 to n - 1 do
+    let size = sizes.(j) in
+    moved := !moved + size;
+    let later = ref (j + 1) in
+    while !later < n && sizes.(!later) <> size do
+      incr later
+    done;
+    if !later = n then begin
+      let occurrences = ref 0 in
+      for k = 0 to n - 1 do
+        if sizes.(k) = size then incr occurrences
+      done;
+      let c0 =
+        match List.assoc_opt size s.gmem_txns with Some c -> c | None -> 0
       in
-      s.gmem_txns <- (tx.size, count + 1) :: List.remove_assoc tx.size
-                       s.gmem_txns;
-      s.gmem_transferred_bytes <- s.gmem_transferred_bytes + tx.size)
-    txns;
-  s.gmem_requested_bytes <- s.gmem_requested_bytes + requested
+      s.gmem_txns <-
+        (size, c0 + !occurrences) :: List.remove_assoc size s.gmem_txns
+    end
+  done;
+  s.gmem_transferred_bytes <- s.gmem_transferred_bytes + !moved;
+  s.gmem_requested_bytes <- s.gmem_requested_bytes + requested;
+  if pc >= 0 then begin
+    if pc >= Array.length s.site_gmem_bytes then
+      s.site_gmem_bytes <- grow_sites s.site_gmem_bytes pc;
+    s.site_gmem_bytes.(pc) <- s.site_gmem_bytes.(pc) + !moved
+  end
 
 let count_barrier t ~stage:i =
   let s = stage t i in

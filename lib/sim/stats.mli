@@ -49,24 +49,27 @@ val stage : t -> int -> stage
 
 (** {2 Collection (used by the simulator)} *)
 
-(** The [?pc] argument on the counting functions additionally charges the
-    count to that program counter for hotspot attribution; omitting it
+(** The [~pc] argument on the counting functions additionally charges the
+    count to that program counter for hotspot attribution; {!no_pc}
     (synthetic stats, tests) keeps only the per-class aggregates. *)
 
+val no_pc : int
+
 val count_issue :
-  t -> stage:int -> ?pc:int -> Gpu_isa.Instr.cost_class -> unit
+  t -> stage:int -> pc:int -> Gpu_isa.Instr.cost_class -> unit
 
 val count_mad : t -> stage:int -> unit
 
-val count_smem :
-  ?pc:int -> t -> stage:int -> txns:int -> ideal:int -> unit
+val count_smem : t -> stage:int -> pc:int -> txns:int -> ideal:int -> unit
 
 val count_atomic :
-  ?pc:int -> t -> stage:int -> txns:int -> ideal:int -> unit
+  t -> stage:int -> pc:int -> txns:int -> ideal:int -> unit
 
+(** [count_gmem t ~stage ~pc ~requested sizes n] counts one warp-level
+    global access whose transactions have the sizes [sizes.(0 .. n-1)],
+    in service order. *)
 val count_gmem :
-  ?pc:int -> t -> stage:int -> txns:Gpu_mem.Coalesce.txn list ->
-  requested:int -> unit
+  t -> stage:int -> pc:int -> requested:int -> int array -> int -> unit
 
 val count_barrier : t -> stage:int -> unit
 val count_active_warp : t -> stage:int -> unit
@@ -87,7 +90,7 @@ type site = {
 }
 
 (** Per-pc attribution rows of a stage, ascending pc, all-zero pcs
-    omitted.  Empty when the stage was collected without [?pc] (synthetic
+    omitted.  Empty when the stage was collected with {!no_pc} (synthetic
     stats). *)
 val sites : stage -> site list
 

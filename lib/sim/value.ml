@@ -1,35 +1,110 @@
-(* Register values are 64-bit bit patterns.  32-bit integer and
-   single-precision operations use the low word (zero-extended back in, so
-   values have a canonical form); the double-precision class IV operations
-   use the full width — an architectural simplification over real register
-   pairs, noted in DESIGN.md. *)
+(* Register values and their lane operations, on the two-word int form
+   described in value.mli.  The float conversions are small enough to
+   inline within this module, so an operation unboxes its operands, does
+   its float arithmetic in registers and returns an int word. *)
 
-type t = int64
+module I = Gpu_isa.Instr
 
-let zero = 0L
+let[@inline] round_f32 (x : float) : float =
+  Int32.float_of_bits (Int32.bits_of_float x)
 
-let low_mask = 0xFFFF_FFFFL
+let[@inline] word x = (x lsl 31) asr 31
 
-let of_i32 (x : int32) : t = Int64.logand (Int64.of_int32 x) low_mask
+let[@inline] of_f32 (x : float) = Int32.to_int (Int32.bits_of_float x)
 
-let to_i32 (v : t) : int32 = Int64.to_int32 v
+let[@inline] to_f32 w = Int32.float_of_bits (Int32.of_int w)
 
-(* Round an OCaml float to the nearest single-precision value. *)
-let round_f32 (x : float) : float = Int32.float_of_bits (Int32.bits_of_float x)
+let[@inline] to_f64 ~lo ~hi =
+  Int64.float_of_bits
+    (Int64.logor
+       (Int64.shift_left (Int64.of_int hi) 32)
+       (Int64.logand (Int64.of_int lo) 0xFFFF_FFFFL))
 
-let of_f32 (x : float) : t = of_i32 (Int32.bits_of_float x)
+let[@inline] lo_of_f64 x = Int32.to_int (Int64.to_int32 (Int64.bits_of_float x))
 
-let to_f32 (v : t) : float = Int32.float_of_bits (to_i32 v)
+let[@inline] hi_of_f64 x =
+  Int32.to_int
+    (Int64.to_int32 (Int64.shift_right_logical (Int64.bits_of_float x) 32))
 
-let of_f64 (x : float) : t = Int64.bits_of_float x
+(* Int32 arithmetic is the low 32 bits of the same operation on
+   sign-extended ints. *)
+let[@inline] sext24 x = (x lsl 39) asr 39
 
-let to_f64 (v : t) : float = Int64.float_of_bits v
+let ibinop op x y =
+  match op with
+  | I.Add -> word (x + y)
+  | I.Sub -> word (x - y)
+  | I.Mul24 -> word (sext24 x * sext24 y)
+  | I.Mul -> word (x * y)
+  | I.Min -> if x <= y then x else y
+  | I.Max -> if x >= y then x else y
+  | I.And -> x land y
+  | I.Or -> x lor y
+  | I.Xor -> x lxor y
+  | I.Shl -> word (x lsl (y land 31))
+  | I.Shr -> x asr (y land 31)
 
-let of_int (x : int) : t = of_i32 (Int32.of_int x)
+let imad x y z = word ((sext24 x * sext24 y) + z)
 
-let to_int (v : t) : int = Int32.to_int (to_i32 v)
+(* [of_f32] rounds to single precision itself, and rounding an already
+   rounded value changes no bit (NaNs included), so the results below go
+   straight to [of_f32]: each [round_f32] saved is two C calls per lane. *)
+let fbinop op x y =
+  let a = to_f32 x and b = to_f32 y in
+  of_f32
+    (match op with
+    | I.Fadd -> a +. b
+    | I.Fsub -> a -. b
+    | I.Fmul -> a *. b
+    | I.Fmin -> if a <= b then a else b
+    | I.Fmax -> if a >= b then a else b)
 
-(* Byte address held in a register, as a non-negative int. *)
-let to_address (v : t) : int =
-  let a = Int32.to_int (to_i32 v) in
-  if a < 0 then invalid_arg "Value.to_address: negative address" else a
+let fmad x y z = of_f32 ((to_f32 x *. to_f32 y) +. to_f32 z)
+
+let sfu op x =
+  let a = to_f32 x in
+  of_f32
+    (match op with
+    | I.Rcp -> 1.0 /. a
+    | I.Rsqrt -> 1.0 /. sqrt a
+    | I.Sin -> sin a
+    | I.Cos -> cos a
+    | I.Lg2 -> log a /. log 2.0
+    | I.Ex2 -> Float.pow 2.0 a)
+
+let cvt op x =
+  match op with
+  | I.I2f -> of_f32 (float_of_int x)
+  | I.F2i -> Int32.to_int (Int32.of_float (to_f32 x))
+  | I.F2i_rni -> Int32.to_int (Int32.of_float (Float.round (to_f32 x)))
+
+let setp cmp ty x y =
+  match ty with
+  | I.S32 -> (
+    match cmp with
+    | I.Eq -> x = y
+    | I.Ne -> x <> y
+    | I.Lt -> x < y
+    | I.Le -> x <= y
+    | I.Gt -> x > y
+    | I.Ge -> x >= y)
+  | I.F32 -> (
+    let a = to_f32 x and b = to_f32 y in
+    match cmp with
+    | I.Eq -> a = b
+    | I.Ne -> a <> b
+    | I.Lt -> a < b
+    | I.Le -> a <= b
+    | I.Gt -> a > b
+    | I.Ge -> a >= b)
+
+let[@inline] half ~high x = if high then hi_of_f64 x else lo_of_f64 x
+
+let dbinop op ~high alo ahi blo bhi =
+  let a = to_f64 ~lo:alo ~hi:ahi and b = to_f64 ~lo:blo ~hi:bhi in
+  half ~high (match op with I.Dadd -> a +. b | I.Dmul -> a *. b)
+
+let dfma ~high alo ahi blo bhi clo chi =
+  half ~high
+    (Float.fma (to_f64 ~lo:alo ~hi:ahi) (to_f64 ~lo:blo ~hi:bhi)
+       (to_f64 ~lo:clo ~hi:chi))

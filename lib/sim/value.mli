@@ -1,22 +1,60 @@
-(** Register values: 64-bit bit patterns.  Integer and single-precision
-    operations use the (zero-extended) low word; double-precision uses the
-    full width — a simplification over real register pairs. *)
+(** Register values and the operations on them.
 
-type t = int64
+    A register holds a 64-bit pattern, kept by the interpreter as two OCaml
+    [int]s: the low and the high 32-bit word, each sign-extended (a
+    "word").  Integer and single-precision operations read and write the
+    low word, and a 32-bit write clears the high word (the zero-extended
+    canonical form); the double-precision class IV operations use both
+    words — a simplification over real register pairs.
 
-val zero : t
-val of_i32 : int32 -> t
-val to_i32 : t -> int32
+    Every operation takes and returns words, so a call never boxes a
+    float, an [int32] or an [int64]: the interpreter calls these once per
+    lane without allocating. *)
 
 (** Round an OCaml float to the nearest single-precision value. *)
 val round_f32 : float -> float
 
-val of_f32 : float -> t
-val to_f32 : t -> float
-val of_f64 : float -> t
-val to_f64 : t -> float
-val of_int : int -> t
-val to_int : t -> int
+(** The low 32 bits of an [int], sign-extended: the word it stores as. *)
+val word : int -> int
 
-(** Byte address held in a register; raises on negative values. *)
-val to_address : t -> int
+(** A single-precision value's bits as a word (rounding to single
+    precision), and back. *)
+val of_f32 : float -> int
+
+val to_f32 : int -> float
+
+(** A double from its low and high words, and the two words of one. *)
+val to_f64 : lo:int -> hi:int -> float
+
+val lo_of_f64 : float -> int
+val hi_of_f64 : float -> int
+
+(** {2 Lane operations}
+
+    Each is the low 32 bits (or single-precision result) of the ISA
+    operation on its word operands; [Mul24] and [imad] multiply the
+    sign-extended low 24 bits. *)
+
+val ibinop : Gpu_isa.Instr.ibinop -> int -> int -> int
+
+(** [imad a b c = a * b + c] on 24-bit factors. *)
+val imad : int -> int -> int -> int
+
+val fbinop : Gpu_isa.Instr.fbinop -> int -> int -> int
+
+(** [fmad a b c = a * b + c], unfused: computed in double precision (the
+    product is exact there) and rounded once to single precision. *)
+val fmad : int -> int -> int -> int
+
+val sfu : Gpu_isa.Instr.sfu_op -> int -> int
+val cvt : Gpu_isa.Instr.cvt_op -> int -> int
+
+(** The predicate [setp] computes. *)
+val setp : Gpu_isa.Instr.cmp -> Gpu_isa.Instr.cmp_type -> int -> int -> bool
+
+(** The [high] (or low) word of a double-precision operation on operands
+    given as (low, high) word pairs. *)
+val dbinop :
+  Gpu_isa.Instr.dbinop -> high:bool -> int -> int -> int -> int -> int
+
+val dfma : high:bool -> int -> int -> int -> int -> int -> int -> int

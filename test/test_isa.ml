@@ -306,12 +306,11 @@ let prop_value_roundtrip =
     QCheck.(int_range (-1_000_000) 1_000_000)
     (fun n ->
       let module V = Gpu_sim.Value in
-      let i = Int32.of_int n in
-      let f = Int32.to_float i /. 7.0 in
-      V.to_i32 (V.of_i32 i) = i
+      let f = float_of_int n /. 7.0 in
+      V.word n = n
+      && V.word (n + (1 lsl 32)) = n
       && V.to_f32 (V.of_f32 (V.round_f32 f)) = V.round_f32 f
-      && V.to_f64 (V.of_f64 f) = f
-      && V.to_int (V.of_int n) = n)
+      && V.to_f64 ~lo:(V.lo_of_f64 f) ~hi:(V.hi_of_f64 f) = f)
 
 let () =
   Alcotest.run "isa"
