@@ -225,10 +225,9 @@ let run ?jobs n f =
           failed = None;
         }
       in
+      let tasks = List.init helpers (fun _ () -> drain batch f) in
       Mutex.lock p.lock;
-      for _ = 1 to helpers do
-        Queue.add (fun () -> drain batch f) p.queue
-      done;
+      List.iter (fun task -> Queue.add task p.queue) tasks;
       note_queue p;
       Condition.broadcast p.work;
       Mutex.unlock p.lock;
@@ -239,6 +238,19 @@ let run ?jobs n f =
       done;
       let failed = batch.failed in
       Mutex.unlock batch.b_lock;
+      (* When this domain drained the whole batch itself, helper tasks no
+         worker has dequeued yet would only find nothing to do: drop them,
+         so they neither keep [batch] and [f] alive nor count in the queue
+         gauge. *)
+      Mutex.lock p.lock;
+      let others = Queue.create () in
+      Queue.iter
+        (fun task -> if not (List.memq task tasks) then Queue.add task others)
+        p.queue;
+      Queue.clear p.queue;
+      Queue.transfer others p.queue;
+      note_queue p;
+      Mutex.unlock p.lock;
       match failed with
       | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ()

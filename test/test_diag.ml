@@ -435,6 +435,35 @@ let test_memory_fault_diag () =
     Alcotest.(check bool) "exec stage" true (f.Sim.diag.D.stage = D.Exec);
     Alcotest.(check bool) "has a hint" true (f.Sim.diag.D.hint <> None)
 
+(* A base register holding no address (a negative word, i.e. 2^31 or
+   more unsigned) traps as a located execution fault, not a toolchain
+   bug. *)
+let test_bad_address_register () =
+  let module I = Gpu_isa.Instr in
+  let program =
+    Gpu_isa.Program.of_lines ~name:"bad_base"
+      [
+        Gpu_isa.Program.Instr
+          (I.mk (I.Mov (I.R 0, I.Imm Int32.min_int)));
+        Gpu_isa.Program.Instr
+          (I.mk (I.Ld (I.Global, 4, I.R 1, { I.base = I.R 0; offset = 0 })));
+        Gpu_isa.Program.Instr (I.mk I.Exit);
+      ]
+  in
+  let k = Gpu_microbench.Runner.wrap ~param_regs:[] ~smem_bytes:0 program in
+  match Sim.run_result ~grid:2 ~block:32 ~args:[] k with
+  | Ok _ -> Alcotest.fail "a register holding no address was accepted"
+  | Error f ->
+    well_formed "bad base register" f.Sim.diag;
+    Alcotest.(check bool) "exec stage" true (f.Sim.diag.D.stage = D.Exec);
+    (match f.Sim.diag.D.location with
+    | D.Sim_site { block = Some 0; _ } -> ()
+    | _ -> Alcotest.fail "bad address not located at block 0");
+    Alcotest.(check bool) "names the address" true
+      (contains f.Sim.diag.D.message "0x80000000");
+    Alcotest.(check bool) "names the pc" true
+      (contains f.Sim.diag.D.message "pc 1")
+
 (* --- occupancy and model edge cases -------------------------------------- *)
 
 let spec = Gpu_hw.Spec.gtx285
@@ -656,6 +685,8 @@ let () =
           Alcotest.test_case "poisoned memory" `Quick test_poisoned_memory;
           Alcotest.test_case "launch failures" `Quick test_launch_failures;
           Alcotest.test_case "memory faults" `Quick test_memory_fault_diag;
+          Alcotest.test_case "bad address register" `Quick
+            test_bad_address_register;
         ] );
       ( "ranges",
         [
