@@ -37,50 +37,35 @@ let full_mask n = (1 lsl n) - 1
 
 (* Opcodes of the decoded form: register-to-register operations first,
    then the memory accesses, then control. *)
-let op_mov = 0
+let op_alu = 0 (* a {!Value.alu} operation *)
 let op_mov_sreg = 1
-let op_alu1 = 2 (* sfu, cvt *)
-let op_alu2 = 3 (* integer and single-precision binary operations *)
-let op_alu3 = 4 (* imad, fmad *)
-let op_dop = 5
-let op_dfma = 6
-let op_setp = 7
-let op_selp = 8
-let op_fmad_smem = 9
-let op_ld_shared = 10
-let op_st_shared = 11
-let op_ld_global = 12
-let op_st_global = 13
-let op_atom = 14
-let op_bra = 15
-let op_bra_pred = 16
-let op_bar = 17
-let op_exit = 18
+let op_setp = 2
+let op_selp = 3
+let op_fmad_smem = 4
+let op_ld_shared = 5
+let op_st_shared = 6
+let op_ld_global = 7
+let op_st_global = 8
+let op_atom = 9
+let op_bra = 10
+let op_bra_pred = 11
+let op_bar = 12
+let op_exit = 13
 
-(* One decoded instruction.  A register operand is its row offset
-   [r * lanes] into the register planes, an immediate is [-1] with its
-   word in the [_imm] field (an immediate's high word is 0).  The lane
-   operation is a {!Value} function partially applied to its ISA
-   sub-operation at decode time. *)
+(* One decoded instruction.  Its register operands are rows of the
+   register planes, its immediates words ({!Value.operands}); a memory
+   access stores through [o.a] and swaps with [o.c]. *)
 type decoded = {
   op : int;
-  f1 : int -> int;
-  f2 : int -> int -> int;
-  f3 : int -> int -> int -> int;
-  test : int -> int -> bool;  (* setp *)
-  dbin : I.dbinop;
+  alu : Value.alu;
+  o : Value.operands;
+  cmp : I.cmp;  (* setp *)
+  cmp_ty : I.cmp_type;
   sreg : I.sreg;
   atomic : I.atomic_op;
-  dst : int;  (* destination register row *)
   p : int;  (* predicate operand: setp destination, selp/bra_pred source *)
-  a : int;
-  a_imm : int;
-  b : int;
-  b_imm : int;
-  c : int;  (* third operand; atom's swap value *)
-  c_imm : int;
   guard : int;  (* guard predicate, -1 when unguarded *)
-  sense : bool;  (* lanes where the guard (or bra_pred's predicate) = sense *)
+  sense : bool;  (* lanes run where the guard = sense *)
   taken_if : bool;  (* bra_pred branches where its predicate = taken_if *)
   base : int;  (* memory operand: address register row and byte offset *)
   offset : int;
@@ -127,16 +112,19 @@ let srcs_of (i : I.t) =
     (match swap with Some sw -> opnd srcs sw | None -> srcs)
   | I.Bra_pred (p, _, _, _) -> pred_id p :: guard
 
-let decode_instr program (i : I.t) =
+(* [temp] is a spare register row: a fused MAD reads its shared operand
+   through it. *)
+let decode_instr program ~nregs ~temp (i : I.t) =
   let cls = I.classify i in
+  let no_operands =
+    { Value.dst = 0; a = -1; a_imm = 0; b = -1; b_imm = 0; c = -1; c_imm = 0 }
+  in
   let d =
     {
-      op = op_exit; f1 = Fun.id; f2 = (fun _ y -> y); f3 = (fun _ _ z -> z);
-      test = (fun _ _ -> false); dbin = I.Dadd; sreg = I.Tid_x;
-      atomic = I.Aadd; dst = 0; p = 0; a = -1; a_imm = 0; b = -1; b_imm = 0;
-      c = -1; c_imm = 0; guard = -1; sense = true; taken_if = true; base = 0;
-      offset = 0; width = 4; target = 0; reconv = 0; cls; work = true;
-      mad = false; invalid = None;
+      op = op_exit; alu = Value.Mov; o = no_operands; cmp = I.Eq;
+      cmp_ty = I.S32; sreg = I.Tid_x; atomic = I.Aadd; p = 0; guard = -1;
+      sense = true; taken_if = true; base = 0; offset = 0; width = 4;
+      target = 0; reconv = 0; cls; work = true; mad = false; invalid = None;
       event =
         {
           Trace.cls;
@@ -152,53 +140,54 @@ let decode_instr program (i : I.t) =
     | Some (I.P g, sense) -> { d with guard = g; sense }
     | None -> d
   in
-  let row (I.R r) = r * lanes in
+  let row (I.R r) =
+    if r < 0 || r >= nregs then
+      stuck "%s: register r%d beyond the kernel's %d"
+        (Gpu_isa.Program.name program) r nregs;
+    r * lanes
+  in
   let operand = function
     | I.Reg r -> (row r, 0)
     | I.Imm v -> (-1, Int32.to_int v)
     | I.Fimm f -> (-1, Value.of_f32 (Value.round_f32 f))
   in
-  let dst r d = { d with dst = row r; event = { d.event with dst = reg_id r } } in
-  let a o d = let a, a_imm = operand o in { d with a; a_imm } in
-  let b o d = let b, b_imm = operand o in { d with b; b_imm } in
-  let c o d = let c, c_imm = operand o in { d with c; c_imm } in
+  let dst r d =
+    { d with o = { d.o with dst = row r }; event = { d.event with dst = reg_id r } }
+  in
+  let a x d = let a, a_imm = operand x in { d with o = { d.o with a; a_imm } } in
+  let b x d = let b, b_imm = operand x in { d with o = { d.o with b; b_imm } } in
+  let c x d = let c, c_imm = operand x in { d with o = { d.o with c; c_imm } } in
   let mem ~width (m : I.maddr) d =
     { d with base = row m.base; offset = m.offset; width }
   in
+  let alu alu d = { d with op = op_alu; alu } in
   let control d = { d with work = false } in
   let target l = Gpu_isa.Program.target_pc program l in
   match i.op with
-  | I.Mov (r, x) -> { (dst r (a x d)) with op = op_mov }
+  | I.Mov (r, x) -> alu Value.Mov (dst r (a x d))
   | I.Mov_sreg (r, sreg) -> { (dst r d) with op = op_mov_sreg; sreg }
-  | I.Sfu (f, r, x) -> { (dst r (a x d)) with op = op_alu1; f1 = Value.sfu f }
-  | I.Cvt (f, r, x) -> { (dst r (a x d)) with op = op_alu1; f1 = Value.cvt f }
-  | I.Iop (f, r, x, y) ->
-    { (dst r (a x (b y d))) with op = op_alu2; f2 = Value.ibinop f }
-  | I.Fop (f, r, x, y) ->
-    { (dst r (a x (b y d))) with op = op_alu2; f2 = Value.fbinop f }
-  | I.Imad (r, x, y, z) ->
-    { (dst r (a x (b y (c z d)))) with op = op_alu3; f3 = Value.imad }
-  | I.Fmad (r, x, y, z) ->
-    { (dst r (a x (b y (c z d)))) with op = op_alu3; f3 = Value.fmad; mad = true }
-  | I.Dop (f, r, x, y) -> { (dst r (a x (b y d))) with op = op_dop; dbin = f }
-  | I.Dfma (r, x, y, z) -> { (dst r (a x (b y (c z d)))) with op = op_dfma }
-  | I.Setp (cmp, ty, (I.P q as pr), x, y) ->
+  | I.Sfu (f, r, x) -> alu (Value.Sfu f) (dst r (a x d))
+  | I.Cvt (f, r, x) -> alu (Value.Cvt f) (dst r (a x d))
+  | I.Iop (f, r, x, y) -> alu (Value.Iop f) (dst r (a x (b y d)))
+  | I.Fop (f, r, x, y) -> alu (Value.Fop f) (dst r (a x (b y d)))
+  | I.Dop (f, r, x, y) -> alu (Value.Dop f) (dst r (a x (b y d)))
+  | I.Imad (r, x, y, z) -> alu Value.Imad (dst r (a x (b y (c z d))))
+  | I.Fmad (r, x, y, z) -> { (alu Value.Fmad (dst r (a x (b y (c z d))))) with mad = true }
+  | I.Dfma (r, x, y, z) -> alu Value.Dfma (dst r (a x (b y (c z d))))
+  | I.Setp (cmp, cmp_ty, (I.P q as pr), x, y) ->
     control
       {
         (a x (b y d)) with
         op = op_setp;
-        test = Value.setp cmp ty;
+        cmp;
+        cmp_ty;
         p = q;
         event = { d.event with dst = pred_id pr };
       }
   | I.Selp (r, x, y, I.P q) -> { (dst r (a x (b y d))) with op = op_selp; p = q }
   | I.Fmad_smem (r, x, m, z) ->
-    {
-      (dst r (a x (c z (mem ~width:4 m d)))) with
-      op = op_fmad_smem;
-      f3 = Value.fmad;
-      mad = true;
-    }
+    let d = dst r (a x (c z (mem ~width:4 m d))) in
+    { d with op = op_fmad_smem; o = { d.o with b = temp }; mad = true }
   | I.Ld (I.Shared, width, r, m) ->
     {
       (dst r (mem ~width m d)) with
@@ -240,10 +229,36 @@ let decode_instr program (i : I.t) =
   | I.Bar -> control { d with op = op_bar; event = { d.event with bar = true } }
   | I.Exit -> control d
 
-let decode program =
-  Array.map (decode_instr program) (Gpu_isa.Program.code program)
-
 (* --- Interpreter state ------------------------------------------------------ *)
+
+type frame = { mutable pc : int; rpc : int; mask : int }
+
+type warp = {
+  wid : int;
+  base_tid : int; (* tid of lane 0 *)
+  nlanes : int;
+  lo : int array; (* (nregs + 1) x lanes, register-major: low words;
+                     the last row is scratch *)
+  hi : int array; (* high words (double precision, 64-bit loads) *)
+  preds : int array; (* one lane mask per predicate register *)
+  mutable stack : frame list;
+  mutable finished : bool;
+  mutable at_barrier : bool;
+  mutable issued : int;
+  mutable counted_stage : int; (* last stage this warp was counted active in *)
+  mutable trace : Trace.builder;
+}
+
+(* The one block a run executes at a time: every block of the launch has
+   the same shape, so its warps' storage is reset and reused. *)
+type block = {
+  mutable bid : int;
+  grid : int; (* blocks in the launch, for %nctaid *)
+  nthreads : int;
+  shared : Bytes.t; (* shared memory, little-endian 32-bit words *)
+  warps : warp array;
+  mutable stage : int;
+}
 
 type t = {
   spec : Gpu_hw.Spec.t;
@@ -252,6 +267,8 @@ type t = {
   collect_trace : bool;
   max_warp_instructions : int; (* runaway-kernel guard *)
   inject_stuck_at : int option; (* fault injection: trap at this issue *)
+  params : (int * int) list; (* (register, value) set in every thread *)
+  block : block;
   (* per-access scratch, reused by every warp of the run *)
   addrs : int array;
   bank : Gpu_mem.Bank.scratch;
@@ -259,103 +276,93 @@ type t = {
 }
 
 let create ?(collect_trace = false) ?(max_warp_instructions = 500_000_000)
-    ?inject_stuck_at spec program =
+    ?inject_stuck_at spec ~grid ~nthreads ~smem_bytes ~nregs ~params program =
+  let warp w =
+    let base_tid = w * lanes in
+    {
+      wid = w;
+      base_tid;
+      nlanes = min lanes (nthreads - base_tid);
+      lo = Array.make ((nregs + 1) * lanes) 0;
+      hi = Array.make ((nregs + 1) * lanes) 0;
+      preds = Array.make num_preds 0;
+      stack = [];
+      finished = false;
+      at_barrier = false;
+      issued = 0;
+      counted_stage = -1;
+      trace = Trace.builder ();
+    }
+  in
   {
     spec;
-    program = decode program;
+    program =
+      Array.map
+        (decode_instr program ~nregs ~temp:(nregs * lanes))
+        (Gpu_isa.Program.code program);
     coalesce = Gpu_mem.Coalesce.config_of_spec spec;
     collect_trace;
     max_warp_instructions;
     inject_stuck_at;
+    params;
+    block =
+      {
+        bid = 0;
+        grid;
+        nthreads;
+        shared = Bytes.make (4 * max 1 ((smem_bytes + 3) / 4)) '\000';
+        warps = Array.init ((nthreads + lanes - 1) / lanes) warp;
+        stage = 0;
+      };
     addrs = Array.make lanes 0;
     bank = Gpu_mem.Bank.scratch ();
     txns = Gpu_mem.Coalesce.txns ();
   }
 
-type frame = { mutable pc : int; rpc : int; mask : int }
-
-type warp = {
-  wid : int;
-  base_tid : int; (* tid of lane 0 *)
-  lo : int array; (* nregs x lanes, register-major: low words *)
-  hi : int array; (* high words (double precision, 64-bit loads) *)
-  preds : int array; (* one lane mask per predicate register *)
-  mutable stack : frame list;
-  mutable finished : bool;
-  mutable at_barrier : bool;
-  mutable issued : int;
-  mutable counted_stage : int; (* last stage this warp was counted active in *)
-  trace : Trace.builder;
-}
-
-type block = {
-  bid : int;
-  grid : int; (* blocks in the launch, for %nctaid *)
-  nthreads : int;
-  shared : Bytes.t; (* shared memory, little-endian 32-bit words *)
-  warps : warp array;
-  mutable stage : int;
-}
-
-let make_warp ~wid ~base_tid ~nlanes ~nregs =
-  {
-    wid;
-    base_tid;
-    lo = Array.make (max 1 nregs * lanes) 0;
-    hi = Array.make (max 1 nregs * lanes) 0;
-    preds = Array.make num_preds 0;
-    stack = [ { pc = 0; rpc = -1; mask = full_mask nlanes } ];
-    finished = false;
-    at_barrier = false;
-    issued = 0;
-    counted_stage = -1;
-    trace = Trace.builder ();
-  }
-
-let make_block ~bid ~grid ~nthreads ~smem_bytes ~nregs =
-  let nwarps = (nthreads + lanes - 1) / lanes in
-  let warps =
-    Array.init nwarps (fun w ->
-        let base_tid = w * lanes in
-        let nlanes = min lanes (nthreads - base_tid) in
-        make_warp ~wid:w ~base_tid ~nlanes ~nregs)
-  in
-  {
-    bid;
-    grid;
-    nthreads;
-    shared = Bytes.make (4 * max 1 ((smem_bytes + 3) / 4)) '\000';
-    warps;
-    stage = 0;
-  }
-
-let set_param block ~reg v =
+(* Block [bid]'s initial state: zeroed registers, predicates and shared
+   memory, the parameter registers set, every warp at pc 0. *)
+let reset m bid =
+  let block = m.block in
+  block.bid <- bid;
+  block.stage <- 0;
+  Bytes.fill block.shared 0 (Bytes.length block.shared) '\000';
   Array.iter
     (fun w ->
-      for lane = 0 to lanes - 1 do
-        w.lo.((reg * lanes) + lane) <- Value.word v;
-        w.hi.((reg * lanes) + lane) <- 0
-      done)
+      Array.fill w.lo 0 (Array.length w.lo) 0;
+      Array.fill w.hi 0 (Array.length w.hi) 0;
+      Array.fill w.preds 0 num_preds 0;
+      List.iter
+        (fun (reg, v) ->
+          for lane = 0 to lanes - 1 do
+            w.lo.((reg * lanes) + lane) <- Value.word v
+          done)
+        m.params;
+      w.stack <- [ { pc = 0; rpc = -1; mask = full_mask w.nlanes } ];
+      w.finished <- false;
+      w.at_barrier <- false;
+      w.issued <- 0;
+      w.counted_stage <- -1;
+      w.trace <- Trace.builder ())
     block.warps
-
-let block_trace block =
-  { Trace.block = block.bid; warps = Array.map (fun w -> Trace.finish w.trace) block.warps }
 
 (* --- Shared-memory access --------------------------------------------- *)
 
-let shared_check block addr =
+let shared_fault block addr =
   let bytes = Bytes.length block.shared in
   if addr < 0 || addr + 4 > bytes then
     stuck "block %d: shared access at %#x outside [0, %#x)" block.bid addr
-      bytes;
-  if addr land 3 <> 0 then
-    stuck "block %d: misaligned shared access at %#x" block.bid addr
+      bytes
+  else stuck "block %d: misaligned shared access at %#x" block.bid addr
 
-let shared_load block addr =
+let[@inline] shared_check block addr =
+  if addr < 0 || addr + 4 > Bytes.length block.shared || addr land 3 <> 0 then
+    shared_fault block addr
+
+let[@inline] shared_load block addr =
   shared_check block addr;
   Int32.to_int (Bytes.get_int32_le block.shared addr)
 
-let shared_store block addr v =
+let[@inline] shared_store block addr v =
   shared_check block addr;
   Bytes.set_int32_le block.shared addr (Int32.of_int v)
 
@@ -483,76 +490,38 @@ let step m ~gmem ~stats block w =
   end;
   if d.mad then Stats.count_mad stats ~stage;
   (match d.invalid with Some msg -> raise (Stuck msg) | None -> ());
-  let op = d.op in
+  let op = d.op and o = d.o in
   if op <= op_selp then begin
     (* register-to-register: every enabled lane, then the static event *)
-    let dst = d.dst and a = d.a and ai = d.a_imm and b = d.b
-    and bi = d.b_imm and c = d.c and ci = d.c_imm in
-    if op = op_setp then begin
-      let test = d.test and bits = ref w.preds.(d.p) in
+    if op = op_alu then Value.alu d.alu ~lo:w.lo ~hi:w.hi o ~em
+    else if op = op_setp then
+      w.preds.(d.p) <- Value.setp d.cmp d.cmp_ty ~lo:w.lo o ~em w.preds.(d.p)
+    else if op = op_selp then begin
+      let bits = w.preds.(d.p) in
       for lane = 0 to lanes - 1 do
-        if enabled em lane then
-          if test (word_of w a ai lane) (word_of w b bi lane) then
-            bits := !bits lor (1 lsl lane)
-          else bits := !bits land lnot (1 lsl lane)
-      done;
-      w.preds.(d.p) <- !bits
-    end
-    else if op = op_alu2 then begin
-      let f = d.f2 in
-      for lane = 0 to lanes - 1 do
-        if enabled em lane then
-          set_word w dst lane (f (word_of w a ai lane) (word_of w b bi lane))
-      done
-    end
-    else if op = op_alu3 then begin
-      let f = d.f3 in
-      for lane = 0 to lanes - 1 do
-        if enabled em lane then
-          set_word w dst lane
-            (f (word_of w a ai lane) (word_of w b bi lane) (word_of w c ci lane))
+        if enabled em lane then begin
+          let take_a = bits land (1 lsl lane) <> 0 in
+          let r = if take_a then o.a else o.b in
+          let x = word_of w r (if take_a then o.a_imm else o.b_imm) lane in
+          let h = high_of w r lane in
+          w.lo.(o.dst + lane) <- x;
+          w.hi.(o.dst + lane) <- h
+        end
       done
     end
     else
+      (* op_mov_sreg *)
       for lane = 0 to lanes - 1 do
         if enabled em lane then
-          if op = op_mov then begin
-            let lo = word_of w a ai lane and hi = high_of w a lane in
-            w.lo.(dst + lane) <- lo;
-            w.hi.(dst + lane) <- hi
-          end
-          else if op = op_alu1 then set_word w dst lane (d.f1 (word_of w a ai lane))
-          else if op = op_mov_sreg then
-            set_word w dst lane
-              (Value.word
-                 (match d.sreg with
-                 | I.Tid_x -> w.base_tid + lane
-                 | I.Ntid_x -> block.nthreads
-                 | I.Ctaid_x -> block.bid
-                 | I.Nctaid_x -> block.grid
-                 | I.Laneid -> lane
-                 | I.Warpid -> w.wid))
-          else if op = op_selp then begin
-            let take_a = w.preds.(d.p) land (1 lsl lane) <> 0 in
-            w.lo.(dst + lane) <-
-              (if take_a then word_of w a ai lane else word_of w b bi lane);
-            w.hi.(dst + lane) <-
-              (if take_a then high_of w a lane else high_of w b lane)
-          end
-          else begin
-            (* double precision: both words of every operand *)
-            let alo = word_of w a ai lane and ahi = high_of w a lane
-            and blo = word_of w b bi lane and bhi = high_of w b lane in
-            let result ~high =
-              if op = op_dop then Value.dbinop d.dbin ~high alo ahi blo bhi
-              else
-                Value.dfma ~high alo ahi blo bhi (word_of w c ci lane)
-                  (high_of w c lane)
-            in
-            let lo = result ~high:false and hi = result ~high:true in
-            w.lo.(dst + lane) <- lo;
-            w.hi.(dst + lane) <- hi
-          end
+          set_word w o.dst lane
+            (Value.word
+               (match d.sreg with
+               | I.Tid_x -> w.base_tid + lane
+               | I.Ntid_x -> block.nthreads
+               | I.Ctaid_x -> block.bid
+               | I.Nctaid_x -> block.grid
+               | I.Laneid -> lane
+               | I.Warpid -> w.wid))
       done;
     record m w d;
     fr.pc <- pc + 1;
@@ -561,7 +530,7 @@ let step m ~gmem ~stats block w =
   else if op <= op_atom then begin
     (* memory: each enabled lane computes its address and accesses memory
        in lane order, then the access is analyzed and counted *)
-    let dst = d.dst and a = d.a and ai = d.a_imm in
+    let dst = o.dst and a = o.a and ai = o.a_imm in
     if op = op_ld_shared then begin
       for lane = 0 to lanes - 1 do
         if enabled em lane then
@@ -577,13 +546,12 @@ let step m ~gmem ~stats block w =
       count_smem m ~stats block w d ~pc em
     end
     else if op = op_fmad_smem then begin
-      let f = d.f3 and c = d.c and ci = d.c_imm in
+      (* the shared operand goes through the scratch row [o.b] *)
       for lane = 0 to lanes - 1 do
-        if enabled em lane then begin
-          let b = shared_load block (address m block w d ~pc lane) in
-          set_word w dst lane (f (word_of w a ai lane) b (word_of w c ci lane))
-        end
+        if enabled em lane then
+          w.lo.(o.b + lane) <- shared_load block (address m block w d ~pc lane)
       done;
+      Value.alu Value.Fmad ~lo:w.lo ~hi:w.hi o ~em;
       count_smem m ~stats block w d ~pc em
     end
     else if op = op_ld_global then begin
@@ -630,7 +598,7 @@ let step m ~gmem ~stats block w =
             | I.Aadd -> Value.word (old + src)
             | I.Amin -> if old <= src then old else src
             | I.Amax -> if old >= src then old else src
-            | I.Acas -> if old = src then word_of w d.c d.c_imm lane else old
+            | I.Acas -> if old = src then word_of w o.c o.c_imm lane else old
           in
           shared_store block addr nv
         end
@@ -676,11 +644,14 @@ let step m ~gmem ~stats block w =
     Exited
   end
 
-(* Run all warps of a block to completion, respecting barriers. *)
-let run_block m ~gmem ~stats block =
+(* Run block [bid] to completion, respecting barriers: every unfinished
+   warp runs up to its next barrier (or exit), then the barrier releases
+   and the next stage begins. *)
+let run_block m ~gmem ~stats bid =
+  reset m bid;
+  let block = m.block in
   let unfinished () = Array.exists (fun w -> not w.finished) block.warps in
   while unfinished () do
-    (* Run every unfinished warp up to its next barrier (or exit). *)
     Array.iter
       (fun w ->
         if not w.finished then begin
@@ -693,8 +664,10 @@ let run_block m ~gmem ~stats block =
           done
         end)
       block.warps;
-    (* All warps are now at a barrier or done; release the barrier and
-       enter the next stage. *)
     if Array.exists (fun w -> w.at_barrier) block.warps then
       block.stage <- block.stage + 1
-  done
+  done;
+  {
+    Trace.block = bid;
+    warps = Array.map (fun w -> Trace.finish w.trace) block.warps;
+  }

@@ -11,34 +11,29 @@ exception Stuck of string
     register that holds no address, runaway kernel, malformed SIMT
     stack. *)
 
-(** One run's interpreter: the device, the decoded program, the options
-    and reusable per-access scratch.  Not shareable across domains. *)
+(** One run's interpreter: the device, the decoded program, the launch
+    shape, the options, the storage of the block being executed and
+    reusable per-access scratch.  Not shareable across domains. *)
 type t
-
-(** [create spec program] decodes [program] for execution on [spec];
-    [collect_trace] records timing events, [max_warp_instructions] bounds
-    runaway kernels, and [inject_stuck_at n] forces a deterministic
-    {!Stuck} trap at a warp's [n]-th issued instruction (fault
-    injection).  Raises {!Gpu_isa.Program.Unknown_label} on a branch to
-    an undefined label. *)
-val create :
-  ?collect_trace:bool -> ?max_warp_instructions:int ->
-  ?inject_stuck_at:int -> Gpu_hw.Spec.t -> Gpu_isa.Program.t -> t
-
-(** A thread block's architectural state. *)
-type block
 
 val lanes : int
 
-val make_block :
-  bid:int -> grid:int -> nthreads:int -> smem_bytes:int -> nregs:int -> block
+(** [create spec ~grid ~nthreads ~smem_bytes ~nregs ~params program]
+    decodes [program] for blocks of [nthreads] threads with [nregs]
+    registers each and [smem_bytes] of shared memory, in a grid of [grid]
+    blocks; [params] are the [(register, value)] pairs the driver sets in
+    every thread before it starts.  [collect_trace] records timing events,
+    [max_warp_instructions] bounds runaway kernels, and [inject_stuck_at n]
+    forces a deterministic {!Stuck} trap at a warp's [n]-th issued
+    instruction (fault injection).  Raises
+    {!Gpu_isa.Program.Unknown_label} on a branch to an undefined label. *)
+val create :
+  ?collect_trace:bool -> ?max_warp_instructions:int ->
+  ?inject_stuck_at:int -> Gpu_hw.Spec.t -> grid:int -> nthreads:int ->
+  smem_bytes:int -> nregs:int -> params:(int * int) list ->
+  Gpu_isa.Program.t -> t
 
-(** [set_param block ~reg v] writes [v] into register [reg] of every lane
-    of every warp (the driver's parameter convention). *)
-val set_param : block -> reg:int -> int -> unit
-
-(** Run all warps of a block to completion, respecting barriers. *)
-val run_block : t -> gmem:Memory.t -> stats:Stats.t -> block -> unit
-
-(** The block's recorded trace (empty warps unless [collect_trace]). *)
-val block_trace : block -> Trace.block_trace
+(** [run_block m ~gmem ~stats bid] runs block [bid] from its initial state
+    (zeroed registers and shared memory) to completion, respecting
+    barriers, and returns its trace (empty warps unless [collect_trace]). *)
+val run_block : t -> gmem:Memory.t -> stats:Stats.t -> int -> Trace.block_trace

@@ -89,18 +89,24 @@ let check t addr width =
     if overlaps_poison addr width ranges then
       fault "poisoned global memory transaction at %#x (injected fault)" addr
 
-let word t addr =
+let[@inline] word t addr =
   Int32.to_int (Bytes.get_int32_le (page t addr) (addr land (page_bytes - 1)))
 
-let set_word t addr v =
+let[@inline] set_word t addr v =
   Bytes.set_int32_le (page t addr) (addr land (page_bytes - 1)) (Int32.of_int v)
 
+(* The common in-bounds, aligned, unpoisoned access checks inline; only
+   the others go through [check], which raises. *)
+let[@inline] check32 t addr =
+  if addr < 0 || addr + 4 > t.size || addr land 3 <> 0 || t.poisoned != []
+  then check t addr 4
+
 let load32 t addr =
-  check t addr 4;
+  check32 t addr;
   word t addr
 
 let store32 t addr v =
-  check t addr 4;
+  check32 t addr;
   set_word t addr v
 
 (* --- Buffer allocation (the driver's cudaMalloc) ---------------------- *)

@@ -65,9 +65,16 @@ let run_into ?(collect_trace = false) ?block_ids
   let param_bases =
     List.map2 (fun (name, _) a -> (name, a.Memory.base)) buffers allocs
   in
+  (* the driver writes parameter base addresses into the convention
+     registers of every thread *)
+  let params =
+    List.map (fun (name, base) -> (List.assoc name k.param_regs, base))
+      param_bases
+  in
   let machine =
     Machine.create ~collect_trace ?max_warp_instructions ?inject_stuck_at
-      spec k.program
+      spec ~grid ~nthreads:block ~smem_bytes:k.smem_bytes
+      ~nregs:(max 1 k.reg_demand) ~params k.program
   in
   let ids =
     match block_ids with
@@ -84,18 +91,8 @@ let run_into ?(collect_trace = false) ?block_ids
   List.iter
     (fun bid ->
       current_block := Some bid;
-      let blk =
-        Machine.make_block ~bid ~grid ~nthreads:block
-          ~smem_bytes:k.smem_bytes ~nregs:(max 1 k.reg_demand)
-      in
-      (* Driver writes parameter base addresses into the convention
-         registers of every warp and lane. *)
-      List.iter
-        (fun (name, base) ->
-          Machine.set_param blk ~reg:(List.assoc name k.param_regs) base)
-        param_bases;
-      Machine.run_block machine ~gmem ~stats blk;
-      if collect_trace then traces := Machine.block_trace blk :: !traces;
+      let trace = Machine.run_block machine ~gmem ~stats bid in
+      if collect_trace then traces := trace :: !traces;
       incr completed)
     ids;
   current_block := None;

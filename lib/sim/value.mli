@@ -1,4 +1,4 @@
-(** Register values and the operations on them.
+(** Register values and the warp-wide operations on them.
 
     A register holds a 64-bit pattern, kept by the interpreter as two OCaml
     [int]s: the low and the high 32-bit word, each sign-extended (a
@@ -7,9 +7,7 @@
     canonical form); the double-precision class IV operations use both
     words — a simplification over real register pairs.
 
-    Every operation takes and returns words, so a call never boxes a
-    float, an [int32] or an [int64]: the interpreter calls these once per
-    lane without allocating. *)
+    No operation here boxes a float, an [int32] or an [int64]. *)
 
 (** Round an OCaml float to the nearest single-precision value. *)
 val round_f32 : float -> float
@@ -29,32 +27,54 @@ val to_f64 : lo:int -> hi:int -> float
 val lo_of_f64 : float -> int
 val hi_of_f64 : float -> int
 
-(** {2 Lane operations}
+(** {2 Warp-wide operations}
 
-    Each is the low 32 bits (or single-precision result) of the ISA
-    operation on its word operands; [Mul24] and [imad] multiply the
-    sign-extended low 24 bits. *)
+    A warp's registers are two planes, [lo] and [hi], of {!lanes} words per
+    register, register-major.  An operand is a register row ([r * lanes],
+    non-negative) or, when negative, the immediate word in its [_imm]
+    field (an immediate's high word is 0).  An operation computes every
+    lane enabled in the mask [em] (bit [i] = lane [i]) and makes no call
+    per lane but the conversions between single-precision bits and
+    floats. *)
 
-val ibinop : Gpu_isa.Instr.ibinop -> int -> int -> int
+val lanes : int
 
-(** [imad a b c = a * b + c] on 24-bit factors. *)
-val imad : int -> int -> int -> int
+type operands = {
+  dst : int;  (** destination row *)
+  a : int;
+  a_imm : int;
+  b : int;
+  b_imm : int;
+  c : int;
+  c_imm : int;
+}
 
-val fbinop : Gpu_isa.Instr.fbinop -> int -> int -> int
+(** The register-to-register operations, each the low 32 bits (or the
+    single-precision result) of the ISA operation on its operands: [Mov]
+    copies both words; [Mul24] and [Imad] ([a * b + c]) multiply the
+    sign-extended low 24 bits; [Fmad] computes [a * b + c] in double
+    precision (the product is exact there) and rounds once to single
+    precision; [Dop] and [Dfma] ([a * b + c], fused) use both words of
+    every operand. *)
+type alu =
+  | Mov
+  | Iop of Gpu_isa.Instr.ibinop
+  | Imad
+  | Fop of Gpu_isa.Instr.fbinop
+  | Fmad
+  | Sfu of Gpu_isa.Instr.sfu_op
+  | Cvt of Gpu_isa.Instr.cvt_op
+  | Dop of Gpu_isa.Instr.dbinop
+  | Dfma
 
-(** [fmad a b c = a * b + c], unfused: computed in double precision (the
-    product is exact there) and rounded once to single precision. *)
-val fmad : int -> int -> int -> int
+(** [alu op ~lo ~hi o ~em] writes [op]'s result on operands [o] into row
+    [o.dst] of every enabled lane.  A lane reads its operands before it
+    writes, so the destination may be a source. *)
+val alu : alu -> lo:int array -> hi:int array -> operands -> em:int -> unit
 
-val sfu : Gpu_isa.Instr.sfu_op -> int -> int
-val cvt : Gpu_isa.Instr.cvt_op -> int -> int
-
-(** The predicate [setp] computes. *)
-val setp : Gpu_isa.Instr.cmp -> Gpu_isa.Instr.cmp_type -> int -> int -> bool
-
-(** The [high] (or low) word of a double-precision operation on operands
-    given as (low, high) word pairs. *)
-val dbinop :
-  Gpu_isa.Instr.dbinop -> high:bool -> int -> int -> int -> int -> int
-
-val dfma : high:bool -> int -> int -> int -> int -> int -> int -> int
+(** [setp cmp ty ~lo o ~em bits] is the predicate lane mask [bits] with
+    each enabled lane set to [cmp] of operands [a] and [b], compared as
+    [ty]. *)
+val setp :
+  Gpu_isa.Instr.cmp -> Gpu_isa.Instr.cmp_type -> lo:int array -> operands ->
+  em:int -> int -> int
