@@ -69,11 +69,12 @@ let misaligned () =
 
 (* Serve the enabled lanes of the issue group [start, start+len),
    appending the transactions to [out] in service order.  Every lane is
-   visited by the scan that serves it, which also checks its alignment
-   ([width] is a power of two in every interpreter access, so the check is
-   a mask then). *)
-let serve_group c ~width addrs mask ~start ~len out =
-  let pow2 = width land (width - 1) = 0 in
+   visited by the scan that serves it, which also checks it: [align] is
+   [width - 1] for the power-of-two widths every interpreter access has
+   (a lane is misaligned when it has any of those bits), and 0 when the
+   caller has checked alignment already. *)
+let serve_group c ~width ~align addrs mask ~start ~len out =
+  let seg = c.max_segment in
   let pending = ref (mask land Lanes.range_mask start len)
   and leader = ref start and bad = ref false in
   while !pending <> 0 do
@@ -82,18 +83,17 @@ let serve_group c ~width addrs mask ~start ~len out =
     while !pending land (1 lsl !leader) = 0 do
       incr leader
     done;
-    let seg = c.max_segment in
     let base = addrs.(!leader) land lnot (seg - 1) in
+    let last = base + seg - width in
     (* Step 2: which unserved lanes fall entirely inside it. *)
     let lo = ref max_int and hi = ref 0 and served = ref 0 in
     for i = !leader to start + len - 1 do
       if !pending land (1 lsl i) <> 0 then begin
         let a = addrs.(i) in
-        if a < 0 || (if pow2 then a land (width - 1) else a mod width) <> 0
-        then bad := true;
-        if a >= base && a + width <= base + seg then begin
+        if a < 0 || a land align <> 0 then bad := true;
+        if a >= base && a <= last then begin
           if a < !lo then lo := a;
-          if a + width > !hi then hi := a + width;
+          if a > !hi then hi := a;
           served := !served lor (1 lsl i)
         end
       end
@@ -102,10 +102,11 @@ let serve_group c ~width addrs mask ~start ~len out =
     if !bad then pending := 0
     else begin
       (* Step 3: shrink while all members fit in one half. *)
+      let hi = !hi + width in
       let tbase = ref base and tsize = ref seg and shrinking = ref true in
       while !shrinking && !tsize / 2 >= c.min_segment do
         let half = !tsize / 2 in
-        if !hi <= !tbase + half then tsize := half
+        if hi <= !tbase + half then tsize := half
         else if !lo >= !tbase + half then begin
           tbase := !tbase + half;
           tsize := half
@@ -126,12 +127,22 @@ let warp_transactions_masked c ~width out addrs ~mask =
     invalid_arg "Coalesce.group_transactions: access wider than a segment";
   if Array.length addrs > Lanes.max then
     invalid_arg "Coalesce: too many lanes for a mask";
+  let align =
+    if width land (width - 1) = 0 then width - 1
+    else begin
+      for i = 0 to Array.length addrs - 1 do
+        if mask land (1 lsl i) <> 0 && (addrs.(i) < 0 || addrs.(i) mod width <> 0)
+        then misaligned ()
+      done;
+      0
+    end
+  in
   out.count <- 0;
   let n = Array.length addrs in
   let start = ref 0 in
   while !start < n do
     let len = min c.group (n - !start) in
-    serve_group c ~width addrs mask ~start:!start ~len out;
+    serve_group c ~width ~align addrs mask ~start:!start ~len out;
     start := !start + c.group
   done
 

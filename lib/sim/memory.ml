@@ -6,7 +6,7 @@
 
    Memory is paged: a page's bytes are allocated, and filled from the
    buffers bound by [copy_in], the first time the kernel touches it, and
-   [copy_out] writes back touched pages only.  A sampled run of a large
+   [copy_out] writes back only pages the kernel stored to.  A sampled run of a large
    launch touches a few pages of its buffers, so it no longer pays for
    copying (and the collector for scanning) all of them. *)
 
@@ -15,6 +15,7 @@ type allocation = { base : int; length : int (* words *) }
 type t = {
   size : int; (* bytes *)
   pages : Bytes.t array; (* [unmapped] until first touched *)
+  dirty : Bytes.t; (* per page: '\001' once stored to *)
   mutable sources : (allocation * int32 array) list; (* newest first *)
   mutable poisoned : (int * int) list; (* injected-fault byte ranges *)
 }
@@ -32,9 +33,11 @@ let unmapped = Bytes.empty
 let create ~bytes =
   if bytes < 0 then invalid_arg "Memory.create";
   let size = 4 * ((bytes + 3) / 4) in
+  let npages = (size + page_bytes - 1) / page_bytes in
   {
     size;
-    pages = Array.make ((size + page_bytes - 1) / page_bytes) unmapped;
+    pages = Array.make npages unmapped;
+    dirty = Bytes.make npages '\000';
     sources = [];
     poisoned = [];
   }
@@ -93,6 +96,7 @@ let[@inline] word t addr =
   Int32.to_int (Bytes.get_int32_le (page t addr) (addr land (page_bytes - 1)))
 
 let[@inline] set_word t addr v =
+  Bytes.set t.dirty (addr lsr page_bits) '\001';
   Bytes.set_int32_le (page t addr) (addr land (page_bytes - 1)) (Int32.of_int v)
 
 (* The common in-bounds, aligned, unpoisoned access checks inline; only
@@ -142,10 +146,11 @@ let copy_in t alloc (data : int32 array) =
     if t.pages.(p) != unmapped then fill_page p t.pages.(p) (alloc, data)
   done
 
-(* Write back the words of [alloc] in touched pages — only changed ones:
-   an [int32 array] element is a box, so rewriting an unchanged word would
-   allocate for nothing.  An untouched page still holds what its sources
-   bound, so it is skipped when [data] is the only source of [alloc]. *)
+(* Write back the words of [alloc] in stored-to pages — only changed
+   ones: an [int32 array] element is a box, so rewriting an unchanged word
+   would allocate for nothing.  Any other page still holds what its
+   sources bound, so it is skipped when [data] is the only source of
+   [alloc]. *)
 let copy_out t alloc (data : int32 array) =
   if Array.length data <> alloc.length then
     invalid_arg "Memory.copy_out: size mismatch";
@@ -159,7 +164,7 @@ let copy_out t alloc (data : int32 array) =
   in
   let first, last = pages_of alloc in
   for p = first to last do
-    if t.pages.(p) != unmapped || not own_source then begin
+    if Bytes.get t.dirty p <> '\000' || not own_source then begin
       let page = page t (p lsl page_bits) in
       let lo, hi = overlap p alloc in
       let addr = ref lo in
