@@ -10,13 +10,15 @@
    requires anyway.
 
    The interpreter is built so that a warp-instruction allocates nothing
-   beyond the trace event it may record (DESIGN §16):
-   - the program is decoded once per run into one flat record of ints per
-     pc — opcode, operands as register rows or immediates, guard, memory
-     operand, resolved branch targets, the static trace sources and, for
-     instructions without a memory access, the whole shared trace event;
+   beyond the trace event it may record (DESIGN §18):
+   - the program is decoded once per run into one record of ints per pc —
+     opcode, the {!Value} operation and operand rows, guard, memory
+     operand, resolved branch targets and the static trace event (an
+     instruction without a memory access records it as is);
    - registers are two [int array] planes (low and high 32-bit word,
-     {!Value}), predicates one lane mask each, shared memory a [Bytes];
+     {!Value}), predicates one lane mask each, shared memory a [Bytes],
+     all reused from block to block;
+   - the register-to-register operations run warp-wide inside {!Value};
    - per-lane addresses go into one reusable array next to the enable
      mask, and the bank and coalescing analyzers tally into reusable
      scratch ({!Gpu_mem.Lanes}). *)
@@ -27,7 +29,7 @@ exception Stuck of string
 
 let stuck fmt = Printf.ksprintf (fun s -> raise (Stuck s)) fmt
 
-let lanes = 32
+let lanes = Value.lanes
 
 let num_preds = 4
 
@@ -397,6 +399,23 @@ let record m w (d : decoded) = if m.collect_trace then Trace.add w.trace d.event
 let record_mem w (d : decoded) mem =
   Trace.add w.trace { d.event with mem }
 
+(* The lowest lane enabled in [em], [lanes] when none is. *)
+let lowest_enabled em =
+  let lane = ref 0 in
+  while !lane < lanes && not (enabled em !lane) do
+    incr lane
+  done;
+  !lane
+
+(* Whether every enabled lane holds lane [first]'s word in register row
+   [row]. *)
+let uniform_row (lo : int array) row em ~first =
+  let v = lo.(row + first) and same = ref true in
+  for lane = first + 1 to lanes - 1 do
+    if enabled em lane && lo.(row + lane) <> v then same := false
+  done;
+  !same
+
 (* A lane's byte address for a memory access, also kept in [m.addrs] for
    the bank and coalescing analysis.  A base register whose word is
    negative (an unsigned value of 2^31 or more) is no address at all: that
@@ -546,12 +565,24 @@ let step m ~gmem ~stats block w =
       count_smem m ~stats block w d ~pc em
     end
     else if op = op_fmad_smem then begin
-      (* the shared operand goes through the scratch row [o.b] *)
-      for lane = 0 to lanes - 1 do
-        if enabled em lane then
-          w.lo.(o.b + lane) <- shared_load block (address m block w d ~pc lane)
-      done;
-      Value.alu Value.Fmad ~lo:w.lo ~hi:w.hi o ~em;
+      let first = lowest_enabled em in
+      if first < lanes && uniform_row w.lo d.base em ~first then begin
+        (* every lane reads one address: a broadcast, loaded once *)
+        let addr = address m block w d ~pc first in
+        let b = shared_load block addr in
+        for lane = first + 1 to lanes - 1 do
+          if enabled em lane then m.addrs.(lane) <- addr
+        done;
+        Value.fmad_broadcast ~lo:w.lo ~hi:w.hi o ~em b
+      end
+      else begin
+        (* the shared operand goes through the scratch row [o.b] *)
+        for lane = 0 to lanes - 1 do
+          if enabled em lane then
+            w.lo.(o.b + lane) <- shared_load block (address m block w d ~pc lane)
+        done;
+        Value.alu Value.Fmad ~lo:w.lo ~hi:w.hi o ~em
+      end;
       count_smem m ~stats block w d ~pc em
     end
     else if op = op_ld_global then begin

@@ -201,6 +201,14 @@ let alu op ~(lo : int array) ~(hi : int array) o ~em =
              (get_f64 lo hi c ci lane))
     done
 
+let fmad_broadcast ~(lo : int array) ~(hi : int array) o ~em b =
+  let bf = to_f32 b and a = o.a and ai = o.a_imm and c = o.c and ci = o.c_imm in
+  for lane = 0 to lanes - 1 do
+    if enabled em lane then
+      set32 lo hi o.dst lane
+        (of_f32 ((to_f32 (get lo a ai lane) *. bf) +. to_f32 (get lo c ci lane)))
+  done
+
 let setp cmp ty ~(lo : int array) o ~em bits =
   let bits = ref bits in
   for lane = 0 to lanes - 1 do

@@ -72,6 +72,12 @@ type alu =
     writes, so the destination may be a source. *)
 val alu : alu -> lo:int array -> hi:int array -> operands -> em:int -> unit
 
+(** [fmad_broadcast ~lo ~hi o ~em b] is [alu Fmad] with operand [b] the
+    word [b] in every lane, converted once: the fused MAD whose shared
+    operand every lane reads from one address. *)
+val fmad_broadcast :
+  lo:int array -> hi:int array -> operands -> em:int -> int -> unit
+
 (** [setp cmp ty ~lo o ~em bits] is the predicate lane mask [bits] with
     each enabled lane set to [cmp] of operands [a] and [b], compared as
     [ty]. *)
