@@ -127,18 +127,22 @@ type alu =
 let[@inline] enabled em lane = em land (1 lsl lane) <> 0
 
 (* An operand's low word in [lane]: register row [r], or the immediate. *)
-let[@inline] get lo r imm lane = if r >= 0 then lo.(r + lane) else imm
+(* The planes are annotated at every helper: a helper typed over ['a array]
+   would keep its generic (tag-testing, [caml_modify]) accesses when
+   inlined. *)
+let[@inline] get (lo : int array) r imm lane =
+  if r >= 0 then lo.(r + lane) else imm
 
-let[@inline] get_hi hi r lane = if r >= 0 then hi.(r + lane) else 0
+let[@inline] get_hi (hi : int array) r lane = if r >= 0 then hi.(r + lane) else 0
 
-let[@inline] set32 lo hi dst lane v =
+let[@inline] set32 (lo : int array) (hi : int array) dst lane v =
   lo.(dst + lane) <- v;
   hi.(dst + lane) <- 0
 
-let[@inline] get_f64 lo hi r imm lane =
+let[@inline] get_f64 (lo : int array) (hi : int array) r imm lane =
   to_f64 ~lo:(get lo r imm lane) ~hi:(get_hi hi r lane)
 
-let[@inline] set_f64 lo hi dst lane x =
+let[@inline] set_f64 (lo : int array) (hi : int array) dst lane x =
   lo.(dst + lane) <- lo_of_f64 x;
   hi.(dst + lane) <- hi_of_f64 x
 
