@@ -71,32 +71,44 @@ let reserve s ~words ~banks =
    per-lane loop. *)
 let negative_address () = invalid_arg "Bank: negative address"
 
-(* The address every enabled lane of the group reads: [-1] when no lane
-   is enabled, [-2] when they differ or one is negative (left to the
-   general walk, which rejects it). *)
-let common_address addrs mask start len =
-  let common = ref (-1) in
-  for i = start to start + len - 1 do
-    if mask land (1 lsl i) <> 0 then begin
-      let a = addrs.(i) in
-      if a < 0 then common := -2
-      else if !common = -1 then common := a
-      else if !common <> a then common := -2
-    end
-  done;
-  !common
-
 (* Conflict degree of one access group [start, start+len): the maximum,
    over banks, of the number of *distinct* words the enabled lanes address
    in that bank (0 when no lane is enabled).  Each lane tallies the words
    [addr/4 .. (addr+width-1)/4] it touches; a word counts at its first
-   occurrence only — the broadcast — found by walking the chain of words
-   already counted in its bank, so a conflict-free access costs one probe
-   per word.  A group reading one address (a broadcast) skips the walk:
-   its distinct words are that address's consecutive ones. *)
+   occurrence only — the broadcast.
+
+   A first pass settles the two common shapes without tallying: every
+   lane reading one address (a broadcast: its consecutive words are the
+   distinct ones), and every lane touching one word in a bank no other
+   lane touches (conflict-free: degree 1).  Anything else walks, per word,
+   the chain of words already counted in its bank. *)
 let conflict_degree_group s ~width ~banks addrs mask start len =
-  match common_address addrs mask start len with
+  (* [common]: the address all enabled lanes read so far, -1 before the
+     first, -2 once they differ or one is negative; [spread]: no two lanes
+     share a bank so far ([seen] holds the banks touched) *)
+  let common = ref (-1) and spread = ref (banks <= Lanes.max) and seen = ref 0 in
+  for i = start to start + len - 1 do
+    if mask land (1 lsl i) <> 0 then begin
+      let a = addrs.(i) in
+      if a < 0 then begin
+        common := -2;
+        spread := false
+      end
+      else begin
+        if !common = -1 then common := a else if !common <> a then common := -2;
+        if !spread then
+          if (a land (word_size - 1)) + width > word_size then spread := false
+          else begin
+            let bit = 1 lsl bank_of ~banks (a / word_size) in
+            if !seen land bit <> 0 then spread := false
+            else seen := !seen lor bit
+          end
+      end
+    end
+  done;
+  match !common with
   | -1 -> 0
+  | -2 when !spread -> 1
   | -2 ->
     let words = s.words and next = s.next in
     let per_bank = s.per_bank and head = s.head in
