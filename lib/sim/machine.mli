@@ -16,8 +16,6 @@ exception Stuck of string
     reusable per-access scratch.  Not shareable across domains. *)
 type t
 
-val lanes : int
-
 (** [create spec ~grid ~nthreads ~smem_bytes ~nregs ~params program]
     decodes [program] for blocks of [nthreads] threads with [nregs]
     registers each and [smem_bytes] of shared memory, in a grid of [grid]

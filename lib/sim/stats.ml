@@ -70,13 +70,23 @@ let empty_stage () =
     site_gmem_bytes = [||];
   }
 
-(* A site array long enough to index [pc], grown geometrically so a long
-   program doesn't reallocate per instruction. *)
-let grow_sites arr pc =
-  let n = max (pc + 1) (max 16 (2 * Array.length arr)) in
-  let a = Array.make n 0 in
-  Array.blit arr 0 a 0 (Array.length arr);
-  a
+(* Add [v] at index [pc] (nothing when [pc < 0]), growing the dense array
+   geometrically so a long program doesn't reallocate per instruction. *)
+let site_add arr pc v =
+  if pc < 0 then arr
+  else begin
+    let arr =
+      if pc < Array.length arr then arr
+      else begin
+        let n = max (pc + 1) (max 16 (2 * Array.length arr)) in
+        let a = Array.make n 0 in
+        Array.blit arr 0 a 0 (Array.length arr);
+        a
+      end
+    in
+    arr.(pc) <- arr.(pc) + v;
+    arr
+  end
 
 let no_pc = -1
 
@@ -98,17 +108,11 @@ let stage t i =
   end;
   t.stages.(i)
 
-(* Each counter below charges [pc]'s site when [pc >= 0]; the array field
-   is only reassigned when it grows. *)
 let count_issue t ~stage:i ~pc cls =
   let s = stage t i in
   let k = class_index cls in
   s.issued.(k) <- s.issued.(k) + 1;
-  if pc >= 0 then begin
-    if pc >= Array.length s.site_issued then
-      s.site_issued <- grow_sites s.site_issued pc;
-    s.site_issued.(pc) <- s.site_issued.(pc) + 1
-  end
+  s.site_issued <- site_add s.site_issued pc 1
 
 let count_mad t ~stage:i =
   let s = stage t i in
@@ -119,22 +123,14 @@ let count_smem t ~stage:i ~pc ~txns ~ideal =
   s.smem_accesses <- s.smem_accesses + 1;
   s.smem_txns <- s.smem_txns + txns;
   s.smem_ideal_txns <- s.smem_ideal_txns + ideal;
-  if pc >= 0 then begin
-    if pc >= Array.length s.site_smem_txns then
-      s.site_smem_txns <- grow_sites s.site_smem_txns pc;
-    s.site_smem_txns.(pc) <- s.site_smem_txns.(pc) + txns
-  end
+  s.site_smem_txns <- site_add s.site_smem_txns pc txns
 
 let count_atomic t ~stage:i ~pc ~txns ~ideal =
   let s = stage t i in
   s.atomic_accesses <- s.atomic_accesses + 1;
   s.atomic_txns <- s.atomic_txns + txns;
   s.atomic_ideal_txns <- s.atomic_ideal_txns + ideal;
-  if pc >= 0 then begin
-    if pc >= Array.length s.site_atomic_txns then
-      s.site_atomic_txns <- grow_sites s.site_atomic_txns pc;
-    s.site_atomic_txns.(pc) <- s.site_atomic_txns.(pc) + txns
-  end
+  s.site_atomic_txns <- site_add s.site_atomic_txns pc txns
 
 (* [gmem_txns] keeps the most recently counted size first.  Counting one
    transaction at a time would move its size to the front each time; the
@@ -166,11 +162,7 @@ let count_gmem t ~stage:i ~pc ~requested sizes n =
   done;
   s.gmem_transferred_bytes <- s.gmem_transferred_bytes + !moved;
   s.gmem_requested_bytes <- s.gmem_requested_bytes + requested;
-  if pc >= 0 then begin
-    if pc >= Array.length s.site_gmem_bytes then
-      s.site_gmem_bytes <- grow_sites s.site_gmem_bytes pc;
-    s.site_gmem_bytes.(pc) <- s.site_gmem_bytes.(pc) + !moved
-  end
+  s.site_gmem_bytes <- site_add s.site_gmem_bytes pc !moved
 
 let count_barrier t ~stage:i =
   let s = stage t i in
