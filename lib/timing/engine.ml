@@ -80,7 +80,6 @@ type result = {
   gmem_busy_cycles : int; (* summed over simulated clusters *)
   sms_simulated : int;
   clusters_simulated : int;
-  blocks_simulated : int;
   (* Conservation accounting over the simulated clusters: the checking
      harness (lib/check) asserts launched = retired and nothing left
      pending — a liveness violation (deadlocked barrier, leaked block
@@ -234,33 +233,6 @@ module WT = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-(* Cross-run cook memo: a serve daemon or benchmark loop replays the same
-   traces under the same device spec over and over, and every [cook] is
-   pure in (spec, warp trace).  Keys are weak (ephemeron): dropping a
-   trace or spec drops its cooked entry.  The spec key is structural —
-   [Spec.t] is plain data — while the trace key is physical, matching the
-   per-run intern table.  Guarded by a mutex because [run] is called
-   concurrently from serve worker domains; the lock covers only lookup
-   and insert, never the cook itself, so a racing duplicate cook is
-   wasted work, not a hazard. *)
-module Memo =
-  Ephemeron.K2.Make
-    (struct
-      type t = Gpu_hw.Spec.t
-
-      let equal = ( = )
-      let hash = Hashtbl.hash
-    end)
-    (struct
-      type t = Trace.warp_trace
-
-      let equal = ( == )
-      let hash = Hashtbl.hash
-    end)
-
-let memo : cooked Memo.t = Memo.create 256
-let memo_lock = Mutex.create ()
-
 (* A cooking function with one intern table for its whole lifetime: every
    block cooked through the same cooker shares decodes for physically
    shared warp arrays, no matter which cluster the blocks land on.  [run]
@@ -269,21 +241,11 @@ let memo_lock = Mutex.create ()
    skips. *)
 let cooker p =
   let table = WT.create 64 in
-  let spec = p.spec in
   let cook_warp wt =
     match WT.find_opt table wt with
     | Some c -> c
     | None ->
-      let c =
-        match
-          Mutex.protect memo_lock (fun () -> Memo.find_opt memo (spec, wt))
-        with
-        | Some c -> c
-        | None ->
-          let c = cook p wt in
-          Mutex.protect memo_lock (fun () -> Memo.replace memo (spec, wt) c);
-          c
-      in
+      let c = cook p wt in
       WT.add table wt c;
       c
   in
@@ -806,17 +768,14 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
   in
   let end_time = ref 0 in
   let guard = ref 0 in
-  let rec loop () =
-    match Heap.pop pq with
-    | None -> ()
-    | Some (now, w) ->
-      incr guard;
-      if !guard > 2_000_000_000 then failwith "Engine: runaway simulation";
-      let horizon = process p rc pq w now in
-      if horizon > !end_time then end_time := horizon;
-      loop ()
-  in
-  loop ();
+  while not (Heap.is_empty pq) do
+    let now = Heap.min_key pq in
+    let w = Heap.pop pq in
+    incr guard;
+    if !guard > 2_000_000_000 then failwith "Engine: runaway simulation";
+    let horizon = process p rc pq w now in
+    if horizon > !end_time then end_time := horizon
+  done;
   let sum f = Array.fold_left (fun acc sm -> acc + f sm) 0 sms in
   {
     co_end = !end_time;
@@ -1090,7 +1049,6 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
     gmem_busy_cycles = to_cycles !gmem;
     sms_simulated = nsel * spec.sms_per_cluster;
     clusters_simulated = nsel;
-    blocks_simulated = Array.length blocks;
     warps_launched = !launched;
     warps_retired = !retired;
     blocks_retired = !blocks_retired;

@@ -53,7 +53,6 @@ type result = {
   gmem_busy_cycles : int;  (** summed over simulated clusters *)
   sms_simulated : int;
   clusters_simulated : int;
-  blocks_simulated : int;
   warps_launched : int;
       (** conservation accounting over the simulated clusters: the
           checking harness ([lib/check]) asserts launched = retired and

@@ -2,8 +2,13 @@
    timing engine.
 
    The payload array stores values directly (no ['a option] box): the
-   caller provides a [dummy] to fill unused slots, which removes a [Some]
-   allocation plus an indirection per event in the engine's inner loop. *)
+   caller provides a [dummy] to fill unused slots.  Nothing on the
+   add/pop path allocates: [pop] returns the bare payload (the caller
+   reads the key first with [min_key]), and both sifts move a hole
+   instead of swapping slots, writing the moving entry once at its final
+   position.  The comparisons are the strict [<] of a swap-based sift
+   with the left child preferred on ties, so the slot layout, and with it
+   the order in which equal keys pop, is that of the textbook heap. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -16,8 +21,6 @@ let create ~dummy =
   { keys = Array.make 64 0; data = Array.make 64 dummy; size = 0; dummy }
 
 let is_empty t = t.size = 0
-
-let length t = t.size
 
 (* The root key.  Undefined (not an error) on an empty heap: the engine's
    coalescing test is [is_empty || key < min_key], which never reads the
@@ -33,51 +36,54 @@ let grow t =
   t.keys <- keys;
   t.data <- data
 
-let swap t i j =
-  let k = t.keys.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.keys.(j) <- k;
-  let d = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- d
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.keys.(i) < t.keys.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
+(* Place [key, v] at hole [i] or above it: parents with a strictly larger
+   key move down into the hole. *)
+let rec sift_up t i key v =
+  let parent = (i - 1) / 2 in
+  if i > 0 && key < t.keys.(parent) then begin
+    t.keys.(i) <- t.keys.(parent);
+    t.data.(i) <- t.data.(parent);
+    sift_up t parent key v
+  end
+  else begin
+    t.keys.(i) <- key;
+    t.data.(i) <- v
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.keys.(l) < t.keys.(!smallest) then smallest := l;
-  if r < t.size && t.keys.(r) < t.keys.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+(* Place [key, v] at hole [i] or below it: the smaller child moves up
+   while its key is strictly below [key]; the right child wins only when
+   strictly below the left one. *)
+let rec sift_down t i key v =
+  let l = (2 * i) + 1 in
+  let c =
+    if l < t.size && t.keys.(l) < key then
+      if l + 1 < t.size && t.keys.(l + 1) < t.keys.(l) then l + 1 else l
+    else if l + 1 < t.size && t.keys.(l + 1) < key then l + 1
+    else i
+  in
+  if c = i then begin
+    t.keys.(i) <- key;
+    t.data.(i) <- v
+  end
+  else begin
+    t.keys.(i) <- t.keys.(c);
+    t.data.(i) <- t.data.(c);
+    sift_down t c key v
   end
 
 let add t ~key v =
   if t.size = Array.length t.keys then grow t;
-  t.keys.(t.size) <- key;
-  t.data.(t.size) <- v;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  sift_up t (t.size - 1) key v
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) in
-    let v = t.data.(0) in
-    t.size <- t.size - 1;
-    t.keys.(0) <- t.keys.(t.size);
-    t.data.(0) <- t.data.(t.size);
-    (* invariant: slots below [size] hold live values; the freed tail slot
-       is reset to [dummy] so the heap never retains a popped payload *)
-    t.data.(t.size) <- t.dummy;
-    if t.size > 0 then sift_down t 0;
-    Some (key, v)
-  end
+  if t.size = 0 then invalid_arg "Heap.pop: empty heap";
+  let v = t.data.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  let key = t.keys.(last) and moving = t.data.(last) in
+  (* invariant: slots below [size] hold live values; the freed tail slot
+     is reset to [dummy] so the heap never retains a popped payload *)
+  t.data.(last) <- t.dummy;
+  if last > 0 then sift_down t 0 key moving;
+  v

@@ -1,5 +1,11 @@
 (** Minimal binary min-heap keyed by integer time: the event queue of the
-    timing engine. *)
+    timing engine.  Neither {!add} nor {!pop} allocates: payloads are
+    stored unboxed next to an [int] key array, and a pop hands back the
+    bare payload — read its key with {!min_key} first.
+
+    Equal keys pop in a fixed order: the one a textbook swap-based binary
+    heap produces (strict [<] comparisons, left child preferred on ties),
+    so a schedule built on this queue is reproducible bit for bit. *)
 
 type 'a t
 
@@ -8,7 +14,6 @@ type 'a t
     unboxed — no ['a option] wrapper per stored event. *)
 val create : dummy:'a -> 'a t
 val is_empty : 'a t -> bool
-val length : 'a t -> int
 val add : 'a t -> key:int -> 'a -> unit
 
 (** The minimum key currently stored.  Only meaningful when the heap is
@@ -18,5 +23,7 @@ val add : 'a t -> key:int -> 'a -> unit
     engine's event-coalescing shortcut relies on exactly that. *)
 val min_key : 'a t -> int
 
-(** Pop the minimum-key element, if any. *)
-val pop : 'a t -> (int * 'a) option
+(** Remove the minimum-key element and return its payload; its key is
+    the {!min_key} read just before.  Raises [Invalid_argument] on an
+    empty heap. *)
+val pop : 'a t -> 'a
