@@ -99,9 +99,11 @@ type sample_target = Fraction of float | Max_blocks of int
 
 type sample = { target : sample_target; seed : int }
 
-let reg_slots = 140 (* 128 general registers + mapped predicates *)
+(* Register ids a trace may name: 128 general registers, then the
+   predicates from [Trace.pred_reg_base]. *)
+let reg_ids = 140
 
-let map_reg id =
+let reg_index id =
   if id >= Trace.pred_reg_base then 128 + (id - Trace.pred_reg_base)
   else id
 
@@ -172,8 +174,9 @@ type cooked = {
   occ : int array; (* issue-pipe ticks (alu, or the fused smem charge) *)
   busy : int array; (* smem/gmem pipe busy ticks *)
   hold : int array; (* warp hold ticks counted from the event's start *)
-  mdst : int array; (* [map_reg]-mapped destination slot, or -1 *)
-  msrcs : int array; (* mapped sources, laid out like [Flat.srcs] *)
+  mdst : int array; (* destination scoreboard slot, or -1 *)
+  msrcs : int array; (* source slots, laid out like [Flat.srcs] *)
+  nslots : int; (* scoreboard slots: the distinct registers the warp names *)
 }
 
 let cook p (wt : Trace.warp_trace) =
@@ -182,9 +185,19 @@ let cook p (wt : Trace.warp_trace) =
   let occ = Array.make n 0 in
   let busy = Array.make n 0 in
   let hold = Array.make n 0 in
-  let mdst =
-    Array.map (fun d -> if d >= 0 then map_reg d else -1) fl.Flat.dst
+  (* Registers are renumbered densely in order of first mention, so a
+     warp's scoreboard holds only the registers its trace names. *)
+  let slot = Array.make reg_ids (-1) in
+  let nslots = ref 0 in
+  let map_reg id =
+    let r = reg_index id in
+    if slot.(r) < 0 then begin
+      slot.(r) <- !nslots;
+      incr nslots
+    end;
+    slot.(r)
   in
+  let mdst = Array.map (fun d -> if d >= 0 then map_reg d else -1) fl.Flat.dst in
   let msrcs = Array.map map_reg fl.Flat.srcs in
   for i = 0 to n - 1 do
     let k = fl.Flat.kind.(i) in
@@ -216,7 +229,17 @@ let cook p (wt : Trace.warp_trace) =
   (* Only the arrays the replay loop reads survive: the rest of the [Flat]
      decode (classes, raw registers, transaction lists) dies young instead
      of being promoted out of the minor heap on every run. *)
-  { n; kind = fl.Flat.kind; soff = fl.Flat.soff; occ; busy; hold; mdst; msrcs }
+  {
+    n;
+    kind = fl.Flat.kind;
+    soff = fl.Flat.soff;
+    occ;
+    busy;
+    hold;
+    mdst;
+    msrcs;
+    nslots = !nslots;
+  }
 
 (* A block lowered to its cooked warps: what the scheduler queues. *)
 type cblock = { cbid : int; cwarps : cooked array }
@@ -289,14 +312,29 @@ type block_state = {
 
 and warp_state = {
   ck : cooked;
+  qid : int; (* payload in the event queue: index into [queue.table] *)
   mutable idx : int;
   mutable ready : int;
-  regs : int array; (* ready time per mapped register *)
+  regs : int array; (* ready time per scoreboard slot *)
   wid : int; (* warp index within its block *)
   mutable stage : int; (* barrier-delimited stage the warp is in *)
   mutable park_t : int; (* when the warp parked at the current barrier *)
   block : block_state;
 }
+
+(* The event queue of one cluster: a heap of warp ids keyed by time, and
+   the table the ids index. *)
+type queue = {
+  heap : Heap.t;
+  table : warp_state array;
+  mutable next : int;
+  dummy : warp_state;
+}
+
+let enqueue q ~key w = Heap.add q.heap ~key w.qid
+
+(* The earliest queued warp; its time is [Heap.min_key q.heap]. *)
+let dequeue q = q.table.(Heap.pop q.heap)
 
 (* --- timeline recorder -------------------------------------------------- *)
 
@@ -399,7 +437,7 @@ let charge_stage r ~stage ~alu ~smem ~atomic ~gmem =
 (* Launch one block's warps at [now].  Empty-trace warps retire through
    [warp_finished] like any other warp, so their slots return and an
    all-empty block still releases the SM. *)
-let rec launch_block p rc (pq : warp_state Heap.t) sm (cb : cblock) now =
+let rec launch_block p rc pq sm (cb : cblock) now =
   let block =
     {
       live = Array.length cb.cwarps;
@@ -415,22 +453,25 @@ let rec launch_block p rc (pq : warp_state Heap.t) sm (cb : cblock) now =
       let w =
         {
           ck;
+          qid = pq.next;
           idx = 0;
           ready = now;
-          regs = Array.make reg_slots now;
+          regs = Array.make ck.nslots now;
           wid;
           stage = 0;
           park_t = now;
           block;
         }
       in
+      pq.table.(pq.next) <- w;
+      pq.next <- pq.next + 1;
       (match rc with
       | None -> ()
       | Some r ->
         Gpu_obs.Timeline.set_thread r.tl ~pid:sm.cluster.pid
           ~tid:(warp_tid r ~bid:block.bid ~wid)
           (Printf.sprintf "b%d.w%d" block.bid wid));
-      if ck.n > 0 then Heap.add pq ~key:now w
+      if ck.n > 0 then enqueue pq ~key:now w
       else warp_finished p rc pq w now)
     cb.cwarps
 
@@ -459,6 +500,7 @@ and try_launch p rc pq sm now =
 and warp_finished p rc pq w now =
   let block = w.block in
   let sm = block.sm in
+  pq.table.(w.qid) <- pq.dummy;
   block.live <- block.live - 1;
   (* Whether *this* retirement emptied the block: released parked warps may
      recursively retire below and must not double-release the SM slot. *)
@@ -496,7 +538,7 @@ and release_parked p rc pq block t =
           rec_warp r pw ~name:"barrier" ~start:pw.park_t ~dur:(t - pw.park_t));
       pw.ready <- t;
       if pw.idx >= pw.ck.n then warp_finished p rc pq pw t
-      else Heap.add pq ~key:t pw)
+      else enqueue pq ~key:t pw)
     parked
 
 (* In-order scoreboard invariant: a register's ready time never moves
@@ -521,6 +563,9 @@ let write_reg w r time =
 let process p rc pq w now0 =
   let ck = w.ck in
   let n = ck.n in
+  let sm = w.block.sm in
+  let regs = w.regs in
+  let i0 = w.idx in
   let horizon = ref 0 in
   let now = ref now0 in
   let running = ref true in
@@ -531,17 +576,15 @@ let process p rc pq w now0 =
     if w.idx >= n then
       failwith "Engine: warp scheduled past the end of its trace";
     let i = w.idx in
-    let sm = w.block.sm in
-    sm.cluster.events <- sm.cluster.events + 1;
     (* Dependences: wait for sources and destination (WAW). *)
     let t = ref (if !now > w.ready then !now else w.ready) in
     for j = ck.soff.(i) to ck.soff.(i + 1) - 1 do
-      let r = w.regs.(ck.msrcs.(j)) in
+      let r = regs.(ck.msrcs.(j)) in
       if r > !t then t := r
     done;
     let dst = ck.mdst.(i) in
     if dst >= 0 then begin
-      let r = w.regs.(dst) in
+      let r = regs.(dst) in
       if r > !t then t := r
     end;
     let t = !t in
@@ -557,7 +600,7 @@ let process p rc pq w now0 =
         (* last arrival: release everyone *)
         release_parked p rc pq block t;
         if w.idx >= n then warp_finished p rc pq w t
-        else Heap.add pq ~key:t w
+        else enqueue pq ~key:t w
       end
       else begin
         w.park_t <- t;
@@ -669,15 +712,17 @@ let process p rc pq w now0 =
         warp_finished p rc pq w w.ready;
         running := false
       end
-      else if Heap.is_empty pq || w.ready < Heap.min_key pq then
+      else if Heap.is_empty pq.heap || w.ready < Heap.min_key pq.heap then
         (* coalesce: continue this warp without touching the heap *)
         now := w.ready
       else begin
-        Heap.add pq ~key:w.ready w;
+        enqueue pq ~key:w.ready w;
         running := false
       end
     end
   done;
+  (* every event of the activation advanced [w.idx] by one *)
+  sm.cluster.events <- sm.cluster.events + (w.idx - i0);
   !horizon
 
 (* What one simulated cluster reports back to the reduction. *)
@@ -713,11 +758,19 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
         ord = 0; cluster;
       }
     in
-    { ck = cook p [||]; idx = 0; ready = 0; regs = [||]; wid = 0;
+    { ck = cook p [||]; qid = -1; idx = 0; ready = 0; regs = [||]; wid = 0;
       stage = 0; park_t = 0;
       block = { live = 0; waiting = 0; parked = []; bid = 0; sm } }
   in
-  let pq : warp_state Heap.t = Heap.create ~dummy:dummy_warp in
+  let pq =
+    let nwarps =
+      Array.fold_left
+        (List.fold_left (fun acc cb -> acc + Array.length cb.cwarps))
+        0 sm_blocks
+    in
+    { heap = Heap.create (); table = Array.make nwarps dummy_warp; next = 0;
+      dummy = dummy_warp }
+  in
   (match rc with
   | None -> ()
   | Some r ->
@@ -768,9 +821,9 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
   in
   let end_time = ref 0 in
   let guard = ref 0 in
-  while not (Heap.is_empty pq) do
-    let now = Heap.min_key pq in
-    let w = Heap.pop pq in
+  while not (Heap.is_empty pq.heap) do
+    let now = Heap.min_key pq.heap in
+    let w = dequeue pq in
     incr guard;
     if !guard > 2_000_000_000 then failwith "Engine: runaway simulation";
     let horizon = process p rc pq w now in

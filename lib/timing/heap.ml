@@ -10,15 +10,14 @@
    with the left child preferred on ties, so the slot layout, and with it
    the order in which equal keys pop, is that of the textbook heap. *)
 
-type 'a t = {
+type t = {
   mutable keys : int array;
-  mutable data : 'a array;
+  mutable data : int array;
   mutable size : int;
-  dummy : 'a;
 }
 
-let create ~dummy =
-  { keys = Array.make 64 0; data = Array.make 64 dummy; size = 0; dummy }
+let create () =
+  { keys = Array.make 64 0; data = Array.make 64 0; size = 0 }
 
 let is_empty t = t.size = 0
 
@@ -30,7 +29,7 @@ let min_key t = t.keys.(0)
 let grow t =
   let n = Array.length t.keys in
   let keys = Array.make (2 * n) 0 in
-  let data = Array.make (2 * n) t.dummy in
+  let data = Array.make (2 * n) 0 in
   Array.blit t.keys 0 keys 0 n;
   Array.blit t.data 0 data 0 n;
   t.keys <- keys;
@@ -51,24 +50,29 @@ let rec sift_up t i key v =
   end
 
 (* Place [key, v] at hole [i] or below it: the smaller child moves up
-   while its key is strictly below [key]; the right child wins only when
-   strictly below the left one. *)
+   while its key is strictly below [key], the right child counting as
+   smaller only when strictly below the left one.  That is the choice a
+   swap-based sift makes, with the child selection computed from a
+   comparison value rather than a branch. *)
 let rec sift_down t i key v =
   let l = (2 * i) + 1 in
-  let c =
-    if l < t.size && t.keys.(l) < key then
-      if l + 1 < t.size && t.keys.(l + 1) < t.keys.(l) then l + 1 else l
-    else if l + 1 < t.size && t.keys.(l + 1) < key then l + 1
-    else i
-  in
-  if c = i then begin
-    t.keys.(i) <- key;
-    t.data.(i) <- v
+  let keys = t.keys in
+  if l < t.size then begin
+    let r = l + 1 in
+    let c = if r < t.size then l + Bool.to_int (keys.(r) < keys.(l)) else l in
+    if keys.(c) < key then begin
+      keys.(i) <- keys.(c);
+      t.data.(i) <- t.data.(c);
+      sift_down t c key v
+    end
+    else begin
+      keys.(i) <- key;
+      t.data.(i) <- v
+    end
   end
   else begin
-    t.keys.(i) <- t.keys.(c);
-    t.data.(i) <- t.data.(c);
-    sift_down t c key v
+    keys.(i) <- key;
+    t.data.(i) <- v
   end
 
 let add t ~key v =
@@ -82,8 +86,5 @@ let pop t =
   let last = t.size - 1 in
   t.size <- last;
   let key = t.keys.(last) and moving = t.data.(last) in
-  (* invariant: slots below [size] hold live values; the freed tail slot
-     is reset to [dummy] so the heap never retains a popped payload *)
-  t.data.(last) <- t.dummy;
   if last > 0 then sift_down t 0 key moving;
   v

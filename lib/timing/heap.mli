@@ -7,23 +7,23 @@
     heap produces (strict [<] comparisons, left child preferred on ties),
     so a schedule built on this queue is reproducible bit for bit. *)
 
-type 'a t
+type t
 
 (** [create ~dummy] is an empty heap; [dummy] fills unused payload slots
     (it is never returned by {!pop}), which keeps the payload array
     unboxed — no ['a option] wrapper per stored event. *)
-val create : dummy:'a -> 'a t
-val is_empty : 'a t -> bool
-val add : 'a t -> key:int -> 'a -> unit
+val create : unit -> t
+val is_empty : t -> bool
+val add : t -> key:int -> int -> unit
 
 (** The minimum key currently stored.  Only meaningful when the heap is
     non-empty ([is_empty t = false]); reading an empty heap's minimum
     returns an unspecified value.  [add t ~key v] followed by [pop t]
     returns [v] whenever [key < min_key t] held before the [add] — the
     engine's event-coalescing shortcut relies on exactly that. *)
-val min_key : 'a t -> int
+val min_key : t -> int
 
 (** Remove the minimum-key element and return its payload; its key is
     the {!min_key} read just before.  Raises [Invalid_argument] on an
     empty heap. *)
-val pop : 'a t -> 'a
+val pop : t -> int

@@ -439,6 +439,115 @@ let test_volta_like_full_block_launch () =
           (Hashtbl.mem expected s.Gpu_obs.Timeline.tid))
     (Gpu_obs.Timeline.slices tl)
 
+(* --- event queue ----------------------------------------------------------- *)
+
+(* The engine's heap before its sifts moved a hole: swap-based, strict [<]
+   comparisons, left child preferred on ties, an allocating [pop].  Kept
+   here as the oracle for the order in which equal keys pop, which is
+   part of the replay schedule. *)
+module Swap_heap = struct
+  type 'a t = {
+    mutable keys : int array;
+    mutable data : 'a array;
+    mutable size : int;
+    dummy : 'a;
+  }
+
+  let create ~dummy =
+    { keys = Array.make 64 0; data = Array.make 64 dummy; size = 0; dummy }
+
+  let grow t =
+    let n = Array.length t.keys in
+    let keys = Array.make (2 * n) 0 in
+    let data = Array.make (2 * n) t.dummy in
+    Array.blit t.keys 0 keys 0 n;
+    Array.blit t.data 0 data 0 n;
+    t.keys <- keys;
+    t.data <- data
+
+  let swap t i j =
+    let k = t.keys.(i) in
+    t.keys.(i) <- t.keys.(j);
+    t.keys.(j) <- k;
+    let d = t.data.(i) in
+    t.data.(i) <- t.data.(j);
+    t.data.(j) <- d
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.keys.(i) < t.keys.(parent) then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && t.keys.(l) < t.keys.(!smallest) then smallest := l;
+    if r < t.size && t.keys.(r) < t.keys.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let add t ~key v =
+    if t.size = Array.length t.keys then grow t;
+    t.keys.(t.size) <- key;
+    t.data.(t.size) <- v;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop t =
+    if t.size = 0 then None
+    else begin
+      let key = t.keys.(0) in
+      let v = t.data.(0) in
+      t.size <- t.size - 1;
+      t.keys.(0) <- t.keys.(t.size);
+      t.data.(0) <- t.data.(t.size);
+      t.data.(t.size) <- t.dummy;
+      if t.size > 0 then sift_down t 0;
+      Some (key, v)
+    end
+end
+
+(* Random add/pop sequences over six distinct keys, so most keys tie; an
+   operation [k >= 0] adds key [k] with the next sequence number as its
+   payload, a negative one pops.  Both heaps are drained at the end, and
+   the popped (key, payload) sequences must be the same. *)
+let prop_heap_pop_order =
+  QCheck.Test.make ~count:500 ~name:"heap pops equal keys in swap-heap order"
+    QCheck.(list_of_size Gen.(int_range 0 400) (int_range (-3) 5))
+    (fun ops ->
+      let h = Gpu_timing.Heap.create () in
+      let r = Swap_heap.create ~dummy:(-1) in
+      let next = ref 0 in
+      let popped = ref [] and expected = ref [] in
+      let pop () =
+        (match Swap_heap.pop r with
+        | Some kv -> expected := kv :: !expected
+        | None -> ());
+        if not (Gpu_timing.Heap.is_empty h) then begin
+          let key = Gpu_timing.Heap.min_key h in
+          popped := (key, Gpu_timing.Heap.pop h) :: !popped
+        end
+      in
+      List.iter
+        (fun op ->
+          if op < 0 then pop ()
+          else begin
+            Gpu_timing.Heap.add h ~key:op !next;
+            Swap_heap.add r ~key:op !next;
+            incr next
+          end)
+        ops;
+      while not (Gpu_timing.Heap.is_empty h && r.Swap_heap.size = 0) do
+        pop ()
+      done;
+      !popped = !expected)
+
 let () =
   Alcotest.run "timing"
     [
@@ -481,4 +590,5 @@ let () =
           Alcotest.test_case "volta-like 1024-thread block launch" `Quick
             test_volta_like_full_block_launch;
         ] );
+      ("event queue", [ QCheck_alcotest.to_alcotest prop_heap_pop_order ]);
     ]
