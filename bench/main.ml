@@ -610,7 +610,10 @@ let ablation () =
    a shared+global tail — the worst case for the replay engine (no
    replication to intern, every cluster loaded differently).  Measures
    the full replay and the 10% cluster-sampled replay, best of three
-   after a warmup.  The engine.events_replayed / engine.replay_ticks /
+   after a warmup.  Every [Engine.run] cooks its traces afresh (nothing
+   is kept across runs), so each figure includes the per-run cook of
+   the replayed warps, as every real caller pays it.  The
+   engine.events_replayed / engine.replay_ticks /
    engine.clusters_parallel counters these runs bump land in the --json
    metrics block. *)
 let replay () =
@@ -657,6 +660,7 @@ let replay () =
   let sampled = time ~sample:{ E.target = E.Fraction 0.1; seed = 0 } () in
   Printf.printf "heterogeneous grid: %d blocks, %d events\n"
     (Array.length het) events;
+  Printf.printf "times include the per-run cook of every replayed warp\n";
   Printf.printf "full replay:     %7.3f ms  (%5.1f M events/s)\n" (1e3 *. full)
     (float_of_int events /. full /. 1e6);
   Printf.printf
@@ -665,7 +669,9 @@ let replay () =
     (1e3 *. sampled) (full /. sampled)
     (float_of_int events /. sampled /. 1e6);
   Printf.printf
-    "committed reference numbers and methodology: BENCH_7.json\n"
+    "reference numbers and methodology: BENCH_7.json (its warm figures \
+     skipped the cook through a cross-run memo that has since been \
+     removed)\n"
 
 (* --- Atomic contention (DESIGN §15) ---------------------------------------- *)
 

@@ -31,14 +31,15 @@
    replication preserves — is decoded once into a [cooked] form: the
    packed [Trace.Flat] arrays plus per-event pipeline costs precomputed
    from the device parameters.  The replay loop is then index arithmetic
-   over shared read-only arrays.  On top of that, consecutive events of a
-   warp that would re-enter the event queue strictly before every queued
-   event are coalesced into one heap transaction (provably the same
-   schedule as push-then-pop), and on the heterogeneous path independent
-   clusters fan out over the domain pool with a deterministic
-   cluster-order reduction — bit-identical to the serial fold.  [?sample]
-   replays a seeded subset of clusters and extrapolates (see
-   {!sampled_estimate}).
+   over shared read-only arrays.  The event queue ([Heap]) holds warp ids
+   keyed by time and allocates nothing per event.  On top of that,
+   consecutive events of a warp that would re-enter the event queue
+   strictly before every queued event are coalesced into one heap
+   transaction (provably the same schedule as push-then-pop), and on the
+   heterogeneous path independent clusters fan out over the domain pool
+   with a deterministic cluster-order reduction — bit-identical to the
+   serial fold.  [?sample] replays a seeded subset of clusters and
+   extrapolates (see {!sampled_estimate}).
 
    Observability: [run ?timeline] optionally records every pipeline busy
    interval and warp hold/park interval into a [Gpu_obs.Timeline], plus a
@@ -227,8 +228,8 @@ let cook p (wt : Trace.warp_trace) =
     end
   done;
   (* Only the arrays the replay loop reads survive: the rest of the [Flat]
-     decode (classes, raw registers, transaction lists) dies young instead
-     of being promoted out of the minor heap on every run. *)
+     decode (classes, raw registers, transaction lists) is garbage as soon
+     as the warp is cooked. *)
   {
     n;
     kind = fl.Flat.kind;

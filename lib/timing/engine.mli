@@ -105,18 +105,17 @@ type sample = { target : sample_target; seed : int }
 
     Throughput: every distinct warp trace (by physical identity — the
     workflow's cyclic replication shares warp arrays across blocks)
-    decodes once into packed cost arrays before replay, decodes are
-    memoized across runs per (spec, trace) so repeated replays of the
-    same traces never re-decode, and only the blocks actually selected
-    for simulation (after the homogeneous shortcut or [sample]'s subset)
-    are decoded at all; consecutive
-    events of one warp that would re-enter the event queue strictly
-    before every queued event coalesce into one heap transaction; and on
-    the heterogeneous path without a timeline the independent clusters
-    fan out over the {!Gpu_parallel.Pool} domain pool with a
-    deterministic cluster-order reduction.  All three preserve the exact
-    schedule: results are bit-identical to the serial, uncoalesced
-    engine.  [sample] instead trades exactness for speed — it replays a
+    decodes once per call into packed cost arrays before replay, and
+    only the blocks actually selected for simulation (after the
+    homogeneous shortcut or [sample]'s subset) are decoded at all;
+    nothing is kept across calls.  The event queue is a binary heap of
+    warp ids that allocates nothing per event; consecutive events of one
+    warp that would re-enter the queue strictly before every queued
+    event coalesce into one heap transaction; and on the heterogeneous
+    path without a timeline the independent clusters fan out over the
+    {!Gpu_parallel.Pool} domain pool with a deterministic cluster-order
+    reduction.  All of these preserve the exact schedule: results are
+    bit-identical to the serial, uncoalesced engine.  [sample] instead trades exactness for speed — it replays a
     seeded subset of clusters and reports the extrapolation in
     {!result.sampled} (a timeline still records, but only the sampled
     clusters' slices, so the lib/check tiling audit only applies to full
