@@ -313,7 +313,7 @@ type block_state = {
 
 and warp_state = {
   ck : cooked;
-  qid : int; (* payload in the event queue: index into [queue.table] *)
+  qid : int; (* the warp's id in its cluster's event queue *)
   mutable idx : int;
   mutable ready : int;
   regs : int array; (* ready time per scoreboard slot *)
@@ -323,8 +323,11 @@ and warp_state = {
   block : block_state;
 }
 
-(* The event queue of one cluster: a heap of warp ids keyed by time, and
-   the table the ids index. *)
+(* The event queue of one cluster: a heap of warp ids keyed by ready
+   time, and the table from id to warp.  Ids are handed out at launch; a
+   retired warp's slot is reset to [dummy], so the table keeps no
+   finished warp alive.  Int payloads keep the heap's sifts free of
+   pointer writes. *)
 type queue = {
   heap : Heap.t;
   table : warp_state array;
@@ -748,7 +751,7 @@ let run_cluster p rc ~cluster_index ~max_resident sm_blocks =
   let cluster =
     { gmem_free = 0; gmem_busy = 0; events = 0; pid = cluster_index + 1 }
   in
-  (* never scheduled: fills the heap's unused payload slots *)
+  (* never scheduled: fills the warp table's unused and retired slots *)
   let dummy_warp =
     let sm =
       {

@@ -1,14 +1,14 @@
-(* Minimal binary min-heap keyed by integer time: the event queue of the
-   timing engine.
+(* Minimal binary min-heap of [int] payloads keyed by integer time: the
+   event queue of the timing engine, whose payloads are warp ids.
 
-   The payload array stores values directly (no ['a option] box): the
-   caller provides a [dummy] to fill unused slots.  Nothing on the
-   add/pop path allocates: [pop] returns the bare payload (the caller
-   reads the key first with [min_key]), and both sifts move a hole
-   instead of swapping slots, writing the moving entry once at its final
-   position.  The comparisons are the strict [<] of a swap-based sift
-   with the left child preferred on ties, so the slot layout, and with it
-   the order in which equal keys pop, is that of the textbook heap. *)
+   Keys and payloads live in two [int] arrays, so nothing on the add/pop
+   path allocates or writes a pointer: [pop] returns the bare payload
+   (the caller reads the key first with [min_key]), and both sifts move
+   a hole instead of swapping slots, writing the moving entry once at
+   its final position.  The comparisons are the strict [<] of a
+   swap-based sift with the left child preferred on ties, so the slot
+   layout, and with it the order in which equal keys pop, is that of the
+   textbook heap. *)
 
 type t = {
   mutable keys : int array;

@@ -1,7 +1,7 @@
-(** Minimal binary min-heap keyed by integer time: the event queue of the
-    timing engine.  Neither {!add} nor {!pop} allocates: payloads are
-    stored unboxed next to an [int] key array, and a pop hands back the
-    bare payload — read its key with {!min_key} first.
+(** Minimal binary min-heap of [int] payloads keyed by integer time: the
+    event queue of the timing engine, whose payloads are warp ids.
+    Neither {!add} nor {!pop} allocates, and a pop hands back the bare
+    payload — read its key with {!min_key} first.
 
     Equal keys pop in a fixed order: the one a textbook swap-based binary
     heap produces (strict [<] comparisons, left child preferred on ties),
@@ -9,9 +9,7 @@
 
 type t
 
-(** [create ~dummy] is an empty heap; [dummy] fills unused payload slots
-    (it is never returned by {!pop}), which keeps the payload array
-    unboxed — no ['a option] wrapper per stored event. *)
+(** An empty heap. *)
 val create : unit -> t
 val is_empty : t -> bool
 val add : t -> key:int -> int -> unit
