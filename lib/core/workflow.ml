@@ -94,28 +94,6 @@ let replicate_traces ~grid (traces : Gpu_sim.Trace.block_trace list) =
    single most-loaded cluster: replicated *heterogeneous* samples load
    clusters differently, and collapsing to one cluster both mis-times the
    grid and under-counts the busy/conservation totals. *)
-(* Timing-relevant equality of two trace events.  The timing engine never
-   reads global-memory transaction base addresses — only their count and
-   size — so bases are masked out; comparing them raw would make every
-   kernel that touches block-dependent addresses look heterogeneous. *)
-let event_cost_equal (a : Gpu_sim.Trace.event) (b : Gpu_sim.Trace.event) =
-  let mem_equal m m' =
-    match (m, m') with
-    | Gpu_sim.Trace.No_mem, Gpu_sim.Trace.No_mem -> true
-    | Gpu_sim.Trace.Smem n, Gpu_sim.Trace.Smem n' -> n = n'
-    | Gpu_sim.Trace.Smem_atomic n, Gpu_sim.Trace.Smem_atomic n' -> n = n'
-    | Gpu_sim.Trace.Gmem_load t, Gpu_sim.Trace.Gmem_load t'
-    | Gpu_sim.Trace.Gmem_store t, Gpu_sim.Trace.Gmem_store t' ->
-      Array.length t = Array.length t'
-      && Array.for_all2 (fun (_, s) (_, s') -> s = s') t t'
-    | _, _ -> false
-  in
-  a.cls = b.cls && a.dst = b.dst && a.srcs = b.srcs && a.bar = b.bar
-  && mem_equal a.mem b.mem
-
-let warp_cost_equal (a : Gpu_sim.Trace.warp_trace) b =
-  Array.length a = Array.length b && Array.for_all2 event_cost_equal a b
-
 let traces_homogeneous (traces : Gpu_sim.Trace.block_trace list) =
   match traces with
   | [] | [ _ ] -> true
@@ -123,7 +101,7 @@ let traces_homogeneous (traces : Gpu_sim.Trace.block_trace list) =
     List.for_all
       (fun (u : Gpu_sim.Trace.block_trace) ->
         Array.length u.warps = Array.length t.warps
-        && Array.for_all2 warp_cost_equal u.warps t.warps)
+        && Array.for_all2 Gpu_timing.Engine.warp_cost_equal u.warps t.warps)
       rest
 
 let replay_homogeneous ~grid (r : Gpu_sim.Sim.result) =

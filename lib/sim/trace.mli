@@ -1,7 +1,9 @@
 (** Execution traces for the timing simulator: one compact event per issued
     warp-instruction — cost class, register-dependence information for the
     per-warp scoreboard, and the memory transactions generated.  Predicate
-    registers share the id space starting at {!pred_reg_base}. *)
+    registers share the id space starting at {!pred_reg_base}.  This is
+    the only trace representation: the interpreter builds it, lib/check
+    lowers generated cases to it, and the timing engine cooks it directly. *)
 
 val pred_reg_base : int
 val no_reg : int
@@ -37,50 +39,3 @@ val finish : builder -> warp_trace
 (** {2 Inspection} *)
 
 val event_count : block_trace -> int
-
-(** Global-memory transaction bytes of one event (0 for non-gmem). *)
-val mem_bytes : mem -> int
-
-(** {2 Packed structure-of-arrays form}
-
-    The replay-side encoding: one warp trace decoded once into parallel
-    int arrays, immutable afterwards and safe to share read-only across
-    blocks and domains.  The timing engine replays this form — the hot
-    loop is index arithmetic over the packed arrays instead of per-event
-    record and array chasing. *)
-
-module Flat : sig
-  (** Per-event kind codes stored in {!t.kind}. *)
-  val k_alu : int
-
-  val k_smem : int  (** plain shared load/store through the LSU *)
-
-  val k_smem_fused : int
-  (** arithmetic with a shared operand: holds the issue pipeline too *)
-
-  val k_gmem_load : int
-  val k_gmem_store : int
-  val k_bar : int
-
-  val k_atomic : int
-  (** shared-memory atomic: serialized transactions in [smem_txns] *)
-
-  type t = private {
-    n : int;  (** event count *)
-    kind : int array;  (** n: one of the [k_*] codes *)
-    cls : int array;  (** n: cost-class index ({!Stats.class_index}) *)
-    dst : int array;  (** n: destination register id, or {!no_reg} *)
-    soff : int array;  (** n+1: prefix offsets into [srcs] *)
-    srcs : int array;  (** flattened source register ids *)
-    smem_txns : int array;  (** n: half-warp transactions; 0 unless smem *)
-    goff : int array;  (** n+1: prefix offsets into [gbase]/[gsize] *)
-    gbase : int array;  (** flattened gmem transaction bases *)
-    gsize : int array;  (** flattened gmem transaction sizes *)
-  }
-
-  val length : t -> int
-  val of_warp : warp_trace -> t
-
-  (** Exact inverse of {!of_warp} (unit-tested round trip). *)
-  val to_events : t -> warp_trace
-end

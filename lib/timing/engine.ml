@@ -26,12 +26,13 @@
    over clusters; for homogeneous workloads only the most-loaded cluster is
    simulated.
 
-   Throughput (DESIGN §14): before replay every distinct warp trace —
-   distinct by physical identity, which the workflow's cyclic trace
-   replication preserves — is decoded once into a [cooked] form: the
-   packed [Trace.Flat] arrays plus per-event pipeline costs precomputed
-   from the device parameters.  The replay loop is then index arithmetic
-   over shared read-only arrays.  The event queue ([Heap]) holds warp ids
+   Throughput (DESIGN §14): the engine reads the interpreter's
+   [Trace.event] records directly.  Before replay every timing-distinct
+   warp trace (equal warps agree on everything but global transaction
+   base addresses, see [warp_cost_equal]) is cooked once, in one pass,
+   into per-event kinds, pipeline costs under the device parameters and
+   scoreboard slots.  The replay loop is then index arithmetic over
+   shared read-only arrays.  The event queue ([Heap]) holds warp ids
    keyed by time and allocates nothing per event.  On top of that,
    consecutive events of a warp that would re-enter the event queue
    strictly before every queued event are coalesced into one heap
@@ -51,7 +52,6 @@
    mutable state, a timeline forces the serial cluster path. *)
 
 module Trace = Gpu_sim.Trace
-module Flat = Gpu_sim.Trace.Flat
 module Metrics = Gpu_obs.Metrics
 module Pool = Gpu_parallel.Pool
 
@@ -160,32 +160,49 @@ let make_params (spec : Gpu_hw.Spec.t) =
     gmem_txn_ticks;
   }
 
-(* --- pre-decoded traces -------------------------------------------------- *)
+(* --- cooked traces ------------------------------------------------------ *)
 
-(* One warp trace, decoded once per [run]: the packed [Flat] arrays plus
-   the per-event pipeline costs under the run's device parameters, so the
+(* Per-event kind codes of a cooked warp.  The fused/plain shared-memory
+   split is decided at cook time (an arithmetic class with a shared
+   operand vs a plain LSU load/store), so the replay loop dispatches on
+   one integer. *)
+let k_alu = 0
+let k_smem = 1
+let k_smem_fused = 2 (* arithmetic with a shared operand: holds the ALU too *)
+let k_gmem_load = 3
+let k_gmem_store = 4
+let k_bar = 5
+let k_atomic = 6 (* shared-memory atomic: contention-serialized transactions *)
+
+(* One warp trace, cooked once per [run] in a single pass over its events:
+   the per-event kind and pipeline costs under the run's device
+   parameters, and the operands renumbered into scoreboard slots, so the
    replay loop never touches an event record, never recomputes an issue
    occupancy and never folds over a transaction list.  Immutable, shared
-   read-only across every block replicating this warp and across worker
-   domains. *)
+   read-only across every block whose warp is timing-equal to this one and
+   across worker domains. *)
 type cooked = {
   n : int; (* event count *)
-  kind : int array; (* [Flat.k_*] code per event (shares the decode array) *)
+  kind : int array; (* [k_*] code per event *)
   soff : int array; (* source offsets into [msrcs], length n+1 *)
   occ : int array; (* issue-pipe ticks (alu, or the fused smem charge) *)
   busy : int array; (* smem/gmem pipe busy ticks *)
   hold : int array; (* warp hold ticks counted from the event's start *)
   mdst : int array; (* destination scoreboard slot, or -1 *)
-  msrcs : int array; (* source slots, laid out like [Flat.srcs] *)
+  msrcs : int array; (* source slots, event by event *)
   nslots : int; (* scoreboard slots: the distinct registers the warp names *)
 }
 
 let cook p (wt : Trace.warp_trace) =
-  let fl = Flat.of_warp wt in
-  let n = fl.Flat.n in
-  let occ = Array.make n 0 in
-  let busy = Array.make n 0 in
+  let n = Array.length wt in
+  let kind = Array.make n k_alu in
+  let occ = Array.make n 0 and busy = Array.make n 0 in
   let hold = Array.make n 0 in
+  let mdst = Array.make n (-1) and soff = Array.make (n + 1) 0 in
+  let msrcs =
+    let count a (e : Trace.event) = a + Array.length e.srcs in
+    Array.make (Array.fold_left count 0 wt) 0
+  in
   (* Registers are renumbered densely in order of first mention, so a
      warp's scoreboard holds only the registers its trace names. *)
   let slot = Array.make reg_ids (-1) in
@@ -198,83 +215,148 @@ let cook p (wt : Trace.warp_trace) =
     end;
     slot.(r)
   in
-  let mdst = Array.map (fun d -> if d >= 0 then map_reg d else -1) fl.Flat.dst in
-  let msrcs = Array.map map_reg fl.Flat.srcs in
+  (* Shared accesses and atomics: same pipe, same per-transaction
+     occupancy; an atomic's transaction count is the contention-serialized
+     one and its busy ticks land in a separate counter. *)
+  let smem i k txns =
+    kind.(i) <- k;
+    busy.(i) <- txns * p.smem_access;
+    hold.(i) <- max p.warp_gap (txns * p.smem_replay)
+  in
+  let gmem i k txns =
+    kind.(i) <- k;
+    busy.(i) <-
+      Array.fold_left (fun b (_, size) -> b + p.gmem_txn_ticks size) 0 txns;
+    hold.(i) <- max p.mem_dispatch p.warp_gap
+  in
   for i = 0 to n - 1 do
-    let k = fl.Flat.kind.(i) in
-    if k = Flat.k_alu then begin
-      let o = p.issue.(fl.Flat.cls.(i)) in
-      occ.(i) <- o;
-      hold.(i) <- max o p.warp_gap
-    end
-    else if k = Flat.k_smem || k = Flat.k_smem_fused || k = Flat.k_atomic
-    then begin
-      (* Atomics time like shared accesses — same pipe, same per-
-         transaction occupancy — but their transaction count is the
-         contention-serialized one and their busy ticks land in a
-         separate counter. *)
-      let txns = fl.Flat.smem_txns.(i) in
-      busy.(i) <- txns * p.smem_access;
-      if k = Flat.k_smem_fused then occ.(i) <- p.issue.(fl.Flat.cls.(i));
-      hold.(i) <- max p.warp_gap (txns * p.smem_replay)
-    end
-    else if k = Flat.k_gmem_load || k = Flat.k_gmem_store then begin
-      let b = ref 0 in
-      for j = fl.Flat.goff.(i) to fl.Flat.goff.(i + 1) - 1 do
-        b := !b + p.gmem_txn_ticks fl.Flat.gsize.(j)
-      done;
-      busy.(i) <- !b;
-      hold.(i) <- max p.mem_dispatch p.warp_gap
-    end
+    let e = wt.(i) in
+    let s0 = soff.(i) in
+    Array.iteri (fun j r -> msrcs.(s0 + j) <- map_reg r) e.srcs;
+    soff.(i + 1) <- s0 + Array.length e.srcs;
+    if e.dst >= 0 then mdst.(i) <- map_reg e.dst;
+    let issue = p.issue.(Gpu_sim.Stats.class_index e.cls) in
+    if e.bar then kind.(i) <- k_bar
+    else
+      match e.mem with
+      | Trace.No_mem ->
+        occ.(i) <- issue;
+        hold.(i) <- max issue p.warp_gap
+      | Trace.Smem txns when e.cls = Gpu_isa.Instr.Class_mem ->
+        smem i k_smem txns
+      | Trace.Smem txns ->
+        smem i k_smem_fused txns;
+        occ.(i) <- issue
+      | Trace.Smem_atomic txns -> smem i k_atomic txns
+      | Trace.Gmem_load txns -> gmem i k_gmem_load txns
+      | Trace.Gmem_store txns -> gmem i k_gmem_store txns
   done;
-  (* Only the arrays the replay loop reads survive: the rest of the [Flat]
-     decode (classes, raw registers, transaction lists) is garbage as soon
-     as the warp is cooked. *)
-  {
-    n;
-    kind = fl.Flat.kind;
-    soff = fl.Flat.soff;
-    occ;
-    busy;
-    hold;
-    mdst;
-    msrcs;
-    nslots = !nslots;
-  }
+  { n; kind; soff; occ; busy; hold; mdst; msrcs; nslots = !nslots }
 
 (* A block lowered to its cooked warps: what the scheduler queues. *)
 type cblock = { cbid : int; cwarps : cooked array }
 
-(* Interning table keyed by *physical* identity of the warp-trace array:
-   [Workflow.replicate_traces] replicates blocks by sharing the sampled
-   warp arrays, so a g-block grid built from n samples decodes n blocks'
-   worth of warps, not g.  Structural hashing is depth-bounded, and a
-   hash collision between distinct arrays merely cooks both. *)
-module WT = Hashtbl.Make (struct
+(* --- timing equality ----------------------------------------------------- *)
+
+(* Two events are timing-equal when [cook] reads the same fields from
+   them: everything but global transaction base addresses, which the
+   engine never reads (only their count and sizes). *)
+let event_cost_equal (a : Trace.event) (b : Trace.event) =
+  a.cls = b.cls && a.dst = b.dst && a.bar = b.bar && a.srcs = b.srcs
+  &&
+  match (a.mem, b.mem) with
+  | Trace.No_mem, Trace.No_mem -> true
+  | Trace.Smem n, Trace.Smem n' | Trace.Smem_atomic n, Trace.Smem_atomic n' ->
+    n = n'
+  | Trace.Gmem_load t, Trace.Gmem_load t'
+  | Trace.Gmem_store t, Trace.Gmem_store t' ->
+    Array.length t = Array.length t'
+    && Array.for_all2 (fun (_, s) (_, s') -> s = s') t t'
+  | _, _ -> false
+
+let warp_cost_equal (a : Trace.warp_trace) b =
+  a == b
+  || (Array.length a = Array.length b && Array.for_all2 event_cost_equal a b)
+
+(* A hash of the length and of every [step]-th event of a warp.  Without
+   transaction bases it reads only what [warp_cost_equal] compares, so
+   timing-equal warps hash alike; with them it still agrees with [==]
+   and tells apart the blocks of a grid whose costs coincide. *)
+let warp_hash ~bases ~step (w : Trace.warp_trace) =
+  let h = ref (Array.length w) in
+  let mix x = h := (31 * !h) + x in
+  let i = ref 0 in
+  while !i < Array.length w do
+    let e = w.(!i) in
+    mix (Gpu_sim.Stats.class_index e.cls);
+    mix e.dst;
+    mix (Bool.to_int e.bar);
+    Array.iter mix e.srcs;
+    (match e.mem with
+    | Trace.No_mem -> mix 0
+    | Trace.Smem n -> mix (2 * n)
+    | Trace.Smem_atomic n -> mix ((2 * n) + 1)
+    | Trace.Gmem_load t | Trace.Gmem_store t ->
+      Array.iter
+        (fun (base, size) ->
+          mix size;
+          if bases then mix base)
+        t);
+    i := !i + step
+  done;
+  Hashtbl.hash !h
+
+(* Warps already looked up, by physical identity: the workflow replicates
+   sampled blocks by sharing their warp arrays, so a repeated warp costs a
+   hash of a few events and pointer comparisons. *)
+module Seen = Hashtbl.Make (struct
   type t = Trace.warp_trace
 
   let equal = ( == )
-  let hash = Hashtbl.hash
+  let hash w = warp_hash ~bases:true ~step:(max 1 (Array.length w / 16)) w
 end)
 
-(* A cooking function with one intern table for its whole lifetime: every
-   block cooked through the same cooker shares decodes for physically
-   shared warp arrays, no matter which cluster the blocks land on.  [run]
-   makes one cooker per call and feeds it only the blocks it will
-   actually simulate, so a sampled replay never decodes the blocks it
-   skips. *)
-let cooker p =
-  let table = WT.create 64 in
+(* Cooked warps by timing equality: every warp equal to one already
+   cooked shares its cooked value, which is exact because [cook] reads
+   nothing [warp_cost_equal] ignores. *)
+module Distinct = Hashtbl.Make (struct
+  type t = Trace.warp_trace
+
+  let equal = warp_cost_equal
+  let hash = warp_hash ~bases:false ~step:1
+end)
+
+(* Lower the selected clusters' blocks to cooked warps through one pair of
+   intern tables, so each timing-distinct warp is cooked once per [run]
+   no matter which blocks and clusters carry it; blocks a sampled replay
+   skips are never cooked.  Returns the lowered clusters and the number
+   of warps cooked. *)
+let cook_clusters p selected =
+  let seen = Seen.create 64 and distinct = Distinct.create 64 in
   let cook_warp wt =
-    match WT.find_opt table wt with
+    match Seen.find_opt seen wt with
     | Some c -> c
     | None ->
-      let c = cook p wt in
-      WT.add table wt c;
+      let c =
+        match Distinct.find_opt distinct wt with
+        | Some c -> c
+        | None ->
+          let c = cook p wt in
+          Distinct.add distinct wt c;
+          c
+      in
+      Seen.add seen wt c;
       c
   in
-  fun (bt : Trace.block_trace) ->
+  let cook_block (bt : Trace.block_trace) =
     { cbid = bt.block; cwarps = Array.map cook_warp bt.warps }
+  in
+  let lowered =
+    Array.map
+      (fun (ci, cl) -> (ci, Array.map (List.map cook_block) cl))
+      selected
+  in
+  (lowered, Distinct.length distinct)
 
 (* --- mutable replay state ------------------------------------------------ *)
 
@@ -593,7 +675,7 @@ let process p rc pq w now0 =
     end;
     let t = !t in
     let k = ck.kind.(i) in
-    if k = Flat.k_bar then begin
+    if k = k_bar then begin
       (* Barrier: advance past it, then park until the block catches up.
          Never coalesced: release re-queues peers at the same key. *)
       w.idx <- i + 1;
@@ -616,7 +698,7 @@ let process p rc pq w now0 =
     end
     else begin
       let h =
-        if k = Flat.k_alu then begin
+        if k = k_alu then begin
           let occ = ck.occ.(i) in
           let start = if t > sm.alu_free then t else sm.alu_free in
           sm.alu_free <- start + occ;
@@ -632,12 +714,12 @@ let process p rc pq w now0 =
             charge_stage r ~stage:w.stage ~alu:occ ~smem:0 ~atomic:0 ~gmem:0);
           complete
         end
-        else if k = Flat.k_smem || k = Flat.k_smem_fused then begin
+        else if k = k_smem || k = k_smem_fused then begin
           (* A fused arithmetic instruction with a shared operand (class II
              Fmad_smem) occupies both the issue pipeline and the shared
              pipeline; plain loads and stores dispatch through the LSU and
              only hold the shared pipeline. *)
-          let fused = k = Flat.k_smem_fused in
+          let fused = k = k_smem_fused in
           let busy = ck.busy.(i) in
           let start =
             if fused then
@@ -669,7 +751,7 @@ let process p rc pq w now0 =
               ~gmem:0);
           if dst >= 0 then complete else start + busy
         end
-        else if k = Flat.k_atomic then begin
+        else if k = k_atomic then begin
           (* Shared-memory atomic: dispatches through the LSU like a plain
              shared access and contends for the same pipe cursor, but its
              busy ticks are charged to the atomic counter — the transaction
@@ -707,7 +789,7 @@ let process p rc pq w now0 =
             rec_warp r w ~name:"gmem" ~start ~dur:(w.ready - start);
             charge_stage r ~stage:w.stage ~alu:0 ~smem:0 ~atomic:0
               ~gmem:busy);
-          if k = Flat.k_gmem_load then complete else start + busy
+          if k = k_gmem_load then complete else start + busy
         end
       in
       if h > !horizon then horizon := h;
@@ -945,6 +1027,10 @@ let m_events_replayed = Metrics.counter "engine.events_replayed"
 let m_replay_ticks = Metrics.counter "engine.replay_ticks"
 let m_clusters_parallel = Metrics.counter "engine.clusters_parallel"
 
+(* Warps cooked: one per timing-distinct warp of the simulated blocks,
+   however many blocks carry it. *)
+let m_warps_cooked = Metrics.counter "engine.warps_cooked"
+
 let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
     ~max_resident_blocks (blocks : Trace.block_trace array) =
   if Array.length blocks = 0 then invalid_arg "Engine.run: no blocks";
@@ -1002,15 +1088,7 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
         (Array.map (fun i -> selected.(i)) chosen, Some k)
     | Some _ | None -> (selected, None)
   in
-  (* Decode exactly the blocks that will run: the clusters sampling
-     skipped are never cooked.  One cooker across the selection keeps
-     replicated warp arrays decoded once grid-wide. *)
-  let selected =
-    let cook_block = cooker p in
-    Array.map
-      (fun (ci, cl) -> (ci, Array.map (List.map cook_block) cl))
-      selected
-  in
+  let selected, warps_cooked = cook_clusters p selected in
   let nsel = Array.length selected in
   (* The recorder's stage accumulators are unsynchronized shared state, so
      a timeline pins the run to the serial path; otherwise independent
@@ -1097,6 +1175,7 @@ let run ?(homogeneous = false) ?timeline ?sample ~(spec : Gpu_hw.Spec.t)
   Metrics.add m_events_replayed !events;
   Metrics.add m_replay_ticks !replay_ticks;
   if use_parallel then Metrics.add m_clusters_parallel nsel;
+  Metrics.add m_warps_cooked warps_cooked;
   {
     cycles;
     seconds = float_of_int cycles /. (spec.core_clock_ghz *. 1e9);

@@ -103,12 +103,15 @@ type sample = { target : sample_target; seed : int }
     warps, and stay collision-free past it.  Without a timeline the
     recording paths cost one [None] match per event.
 
-    Throughput: every distinct warp trace (by physical identity — the
-    workflow's cyclic replication shares warp arrays across blocks)
-    decodes once per call into packed cost arrays before replay, and
-    only the blocks actually selected for simulation (after the
-    homogeneous shortcut or [sample]'s subset) are decoded at all;
-    nothing is kept across calls.  The event queue is a binary heap of
+    Throughput: the engine reads the [Trace.event] records directly.
+    Every timing-distinct warp trace (by {!warp_cost_equal}) is cooked
+    once per call, in one pass, into per-event cost arrays before replay
+    and shared by every warp equal to it; a warp array the call has
+    already seen is found by physical identity without a trace
+    comparison.  Only the blocks actually selected for simulation (after
+    the homogeneous shortcut or [sample]'s subset) are cooked at all, the
+    count lands in the [engine.warps_cooked] counter, and nothing is kept
+    across calls.  The event queue is a binary heap of
     warp ids that allocates nothing per event; consecutive events of one
     warp that would re-enter the queue strictly before every queued
     event coalesce into one heap transaction; and on the heterogeneous
@@ -128,6 +131,14 @@ val run :
   max_resident_blocks:int ->
   Gpu_sim.Trace.block_trace array ->
   result
+
+(** Timing equality of two warp traces: the same events up to
+    global-memory transaction base addresses, which the engine never
+    reads (only transaction counts and sizes matter).  Equal warps
+    replay identically; [run] cooks one per class, and the workflow's
+    homogeneity test compares blocks with it. *)
+val warp_cost_equal :
+  Gpu_sim.Trace.warp_trace -> Gpu_sim.Trace.warp_trace -> bool
 
 (** The per-barrier-stage bottleneck attribution table recorded in
     {!result.stages_busy} (busy cycles per pipeline and the busiest one),

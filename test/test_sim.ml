@@ -303,48 +303,6 @@ let test_trace_builder () =
     (fun i e -> Alcotest.(check bool) "in order" true (e = ev i))
     got
 
-let test_flat_round_trip () =
-  (* One warp exercising every event shape the simulator emits: plain
-     ALU, predicate destinations, shared-memory transactions, fused
-     smem+ALU, global loads and stores with per-lane transaction lists,
-     and a barrier.  Flattening then re-inflating must be the identity —
-     that is what lets the timing engine replay the packed form while
-     every oracle and pretty-printer keeps consuming events. *)
-  let w =
-    [|
-      { Trace.cls = I.Class_ii; dst = 3; srcs = [| 1; 2 |];
-        mem = Trace.No_mem; bar = false };
-      { Trace.cls = I.Class_iii; dst = Trace.pred_reg_base + 2;
-        srcs = [| 3 |]; mem = Trace.No_mem; bar = false };
-      { Trace.cls = I.Class_mem; dst = 4; srcs = [||];
-        mem = Trace.Smem 16; bar = false };
-      { Trace.cls = I.Class_ii; dst = 5; srcs = [| 4; 3 |];
-        mem = Trace.Smem 2; bar = false };
-      { Trace.cls = I.Class_mem; dst = 9; srcs = [| 4 |];
-        mem = Trace.Smem_atomic 16; bar = false };
-      { Trace.cls = I.Class_mem; dst = 6; srcs = [| 5 |];
-        mem = Trace.Gmem_load [| (0, 64); (128, 32); (4096, 128) |];
-        bar = false };
-      { Trace.cls = I.Class_mem; dst = Trace.no_reg; srcs = [| 6 |];
-        mem = Trace.Gmem_store [| (256, 64) |]; bar = false };
-      { Trace.cls = I.Class_ctrl; dst = Trace.no_reg; srcs = [||];
-        mem = Trace.No_mem; bar = true };
-      { Trace.cls = I.Class_mem; dst = 7; srcs = [||];
-        mem = Trace.Gmem_load [||]; bar = false };
-    |]
-  in
-  let f = Trace.Flat.of_warp w in
-  Alcotest.(check int) "flat length" (Array.length w) (Trace.Flat.length f);
-  let back = Trace.Flat.to_events f in
-  Alcotest.(check int) "round-trip length" (Array.length w)
-    (Array.length back);
-  Array.iteri
-    (fun i e ->
-      Alcotest.(check bool)
-        (Printf.sprintf "event %d survives the round trip" i)
-        true (e = back.(i)))
-    w
-
 (* --- Raw ISA semantics ---------------------------------------------------- *)
 
 (* Run a hand-written native program (one warp) and return the "out"
@@ -672,7 +630,6 @@ let () =
             test_stats_density;
           Alcotest.test_case "trace collection" `Quick test_trace_collection;
           Alcotest.test_case "trace builder" `Quick test_trace_builder;
-          Alcotest.test_case "flat round trip" `Quick test_flat_round_trip;
           Alcotest.test_case "block sampling" `Quick
             test_block_sampling_scales;
         ] );

@@ -439,6 +439,80 @@ let test_volta_like_full_block_launch () =
           (Hashtbl.mem expected s.Gpu_obs.Timeline.tid))
     (Gpu_obs.Timeline.slices tl)
 
+(* --- cooking -------------------------------------------------------------- *)
+
+(* Each timing-distinct warp is cooked once per run, and sharing a cooked
+   warp changes nothing.  spmv ELL at test size is replayed as simulated
+   and again with every warp a fresh array whose global transaction bases
+   are shifted: the results must agree field for field, and each replay
+   must cook exactly the grid's cost-distinct warps, counted here by
+   structural equality with the bases masked out. *)
+let test_cooks_each_distinct_warp_once () =
+  let module W = Gpu_workloads in
+  let matrix =
+    W.Spmv.generate ~seed:7 ~block_rows:256 ~offsets:W.Spmv.qcd_offsets ()
+  in
+  let fmt = W.Spmv.Ell in
+  let grid, block = W.Spmv.launch matrix fmt in
+  let x =
+    Array.init (W.Spmv.rows matrix) (fun i ->
+        Gpu_sim.Value.round_f32 (sin (float_of_int i)))
+  in
+  let sim =
+    Gpu_sim.Sim.run ~collect_trace:true ~spec ~grid ~block
+      ~args:(W.Spmv.args matrix fmt x)
+      (Gpu_kernel.Compile.compile (W.Spmv.kernel matrix fmt))
+  in
+  let traces = Array.of_list sim.Gpu_sim.Sim.traces in
+  let map_gmem f (e : Trace.event) =
+    match e.mem with
+    | Trace.Gmem_load t -> { e with mem = Trace.Gmem_load (Array.map f t) }
+    | Trace.Gmem_store t -> { e with mem = Trace.Gmem_store (Array.map f t) }
+    | Trace.No_mem | Trace.Smem _ | Trace.Smem_atomic _ -> e
+  in
+  let shifted =
+    Array.map
+      (fun (bt : Trace.block_trace) ->
+        { bt with
+          warps =
+            Array.map
+              (Array.map (map_gmem (fun (base, size) -> (base + 4096, size))))
+              bt.warps })
+      traces
+  in
+  let distinct = Hashtbl.create 16 in
+  Array.iter
+    (fun (bt : Trace.block_trace) ->
+      Array.iter
+        (fun w ->
+          Hashtbl.replace distinct
+            (Array.map (map_gmem (fun (_, size) -> (0, size))) w)
+            ())
+        bt.warps)
+    traces;
+  let nwarps =
+    Array.fold_left
+      (fun acc (bt : Trace.block_trace) -> acc + Array.length bt.warps)
+      0 traces
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d warps, %d cost-distinct" nwarps
+       (Hashtbl.length distinct))
+    true
+    (Hashtbl.length distinct < nwarps);
+  let cooked = Gpu_obs.Metrics.counter "engine.warps_cooked" in
+  let replay blocks =
+    let before = Gpu_obs.Metrics.value cooked in
+    let r = Engine.run ~homogeneous:false ~spec ~max_resident_blocks:8 blocks in
+    Alcotest.(check int) "warps cooked = cost-distinct warps"
+      (Hashtbl.length distinct)
+      (Gpu_obs.Metrics.value cooked - before);
+    r
+  in
+  let simulated = replay traces in
+  let fresh = replay shifted in
+  Alcotest.(check bool) "every result field equal" true (simulated = fresh)
+
 (* --- event queue ----------------------------------------------------------- *)
 
 (* The engine's heap before its sifts moved a hole: swap-based, strict [<]
@@ -582,6 +656,8 @@ let () =
             test_parallel_bit_identical;
           Alcotest.test_case "sampled replay bounds" `Quick
             test_sampled_bounds;
+          Alcotest.test_case "each timing-distinct warp cooked once" `Quick
+            test_cooks_each_distinct_warp_once;
         ] );
       ( "timeline tracks",
         [
